@@ -65,26 +65,36 @@ def monomial_ball_integral(m: int, alpha) -> PiScaled:
     return _ball_integral_cached(m, alpha)
 
 
+def _ball_pairing(p: MPoly, q: MPoly, ring: str, conj, zero, caller: str):
+    """Sum over term pairs of conj(a) * b * (rational part of the ball integral).
+
+    Every nonzero integral in dimension m carries the same sqrt(pi) power,
+    pi_power(m), which the caller attaches.
+    """
+    if p.ring != ring or q.ring != ring:
+        raise ValueError(f"{caller} needs {ring}-ring polynomials")
+    if p.dim != q.dim:
+        raise ValueError("dimension mismatch")
+    m = p.dim
+    acc = zero
+    for ea, ca in p.terms.items():
+        ca = conj(ca)
+        for eb, cb in q.terms.items():
+            integral = monomial_ball_integral(m, tuple(x + y for x, y in zip(ea, eb)))
+            if integral.is_zero():
+                continue
+            acc = acc + ca * cb * integral.q
+    return acc
+
+
 def inner_harm(p: MPoly, q: MPoly) -> PiScaled:
     """L^2(B_m) inner product of complex polynomials: integral of conj(p)*q.
 
     Conjugate-linear in p, linear in q; the result is an exact (Gaussian)
     rational multiple of the dimension's pi power.
     """
-    if p.ring != GAUSSIAN or q.ring != GAUSSIAN:
-        raise ValueError("inner_harm needs gaussian-ring polynomials")
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
-    m = p.dim
-    acc = Fraction(0)
-    for ea, ca in p.terms.items():
-        ca = conj_scalar(ca)
-        for eb, cb in q.terms.items():
-            integral = monomial_ball_integral(m, tuple(x + y for x, y in zip(ea, eb)))
-            if integral.is_zero():
-                continue
-            acc = acc + ca * cb * integral.q
-    return PiScaled(acc, pi_power(m))
+    acc = _ball_pairing(p, q, GAUSSIAN, conj_scalar, Fraction(0), "inner_harm")
+    return PiScaled(acc, pi_power(p.dim))
 
 
 def inner_mon(p: MPoly, q: MPoly) -> PiScaled:
@@ -99,17 +109,6 @@ def inner_mon_full(p: MPoly, q: MPoly) -> tuple[Multivector, int]:
     Returns (value, s): an exact multivector of rational coefficients and
     the sqrt(pi) exponent s, meaning value * pi^(s/2).
     """
-    if p.ring != CLIFFORD or q.ring != CLIFFORD:
-        raise ValueError("inner_mon needs clifford-ring polynomials")
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
-    m = p.dim
-    acc = Multivector.zero(m)
-    for ea, ca in p.terms.items():
-        ca = ca.conjugate()
-        for eb, cb in q.terms.items():
-            integral = monomial_ball_integral(m, tuple(x + y for x, y in zip(ea, eb)))
-            if integral.is_zero():
-                continue
-            acc = acc + (ca * cb).scale(integral.q)
-    return acc, pi_power(m)
+    acc = _ball_pairing(p, q, CLIFFORD, Multivector.conjugate, Multivector.zero(p.dim),
+                        "inner_mon")
+    return acc, pi_power(p.dim)

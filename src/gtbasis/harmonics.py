@@ -15,12 +15,17 @@ closed form obtained by the dimension recurrence
 
 and this module evaluates it three ways: exact truncated series, float
 closed form by the recurrence, and float partial sums of the series.
+
+The monogenic module reuses each of these steps (the private helpers here
+take the ring-specific base, factors and scaling as arguments), so every
+recursion has one implementation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,16 +67,16 @@ def iter_multi_indices(parts: int, total: int):
 
 
 @dataclass(frozen=True)
-class BasisIndex:
-    """Label of one spherical harmonic: multi-index, sign tag and normalization."""
+class _Index:
+    """What every basis label shares: the multi-index (k_2..k_m) and its checks.
+
+    Subclasses add their own fields after k, including `normalization`.
+    """
 
     k: tuple[int, ...]
-    sign: int = +1
-    normalization: str = FACTORIAL
 
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        object.__setattr__(self, "sign", _norm_sign(self.sign))
         _check_norm(self.normalization)
         if len(self.k) < 1:
             raise ValueError("index needs at least the k_2 entry (m >= 2)")
@@ -88,6 +93,18 @@ class BasisIndex:
     def kstar(self, r: int) -> int:
         """Partial sum k_2 + ... + k_r."""
         return sum(self.k[: r - 1])
+
+
+@dataclass(frozen=True)
+class BasisIndex(_Index):
+    """Label of one spherical harmonic: multi-index, sign tag and normalization."""
+
+    sign: int = +1
+    normalization: str = FACTORIAL
+
+    def __post_init__(self):
+        object.__setattr__(self, "sign", _norm_sign(self.sign))
+        super().__post_init__()
 
     def __str__(self):
         sign = "+" if self.sign > 0 else "-"
@@ -156,22 +173,31 @@ def embedding_F(m: int, j: int, k: int) -> MPoly:
     return out
 
 
-def _base2_poly(k2: int, sign: int, normalization: str) -> MPoly:
-    """(x_1 +/- i*x_2)^{k_2}, divided by k_2! in the factorial normalization."""
-    p = MPoly(2, GAUSSIAN, {(1, 0): 1, (0, 1): make_gaussian(0, sign)})
-    out = p ** k2
-    if normalization == FACTORIAL:
-        out = out.scale(Fraction(1, math.factorial(k2)))
-    return out
+def _harm_base(sign: int) -> MPoly:
+    """The harmonic base polynomial x_1 +/- i*x_2."""
+    return MPoly(2, GAUSSIAN, {(1, 0): 1, (0, 1): make_gaussian(0, sign)})
+
+
+def _basis_product(idx, base: MPoly, factor) -> MPoly:
+    """Basis polynomial of idx: factor_m * ... * factor_3 * base^{k_2}.
+
+    The base power is divided by k_2! in the factorial normalization, and
+    factor(r, k_2 + ... + k_{r-1}, k_r) is the dimension-r embedding factor.
+    Each factor multiplies from the left: the outermost dimension is leftmost.
+    """
+    m = idx.m
+    poly = base ** idx.k[0]
+    if idx.normalization == FACTORIAL:
+        poly = poly.scale(Fraction(1, math.factorial(idx.k[0])))
+    poly = poly.embed(m)
+    for r in range(3, m + 1):
+        poly = factor(r, idx.kstar(r - 1), idx.k[r - 2]).embed(m) * poly
+    return poly
 
 
 def harm_basis(idx: BasisIndex) -> MPoly:
     """The spherical harmonic labelled by idx; homogeneous of degree |k| and harmonic."""
-    m = idx.m
-    poly = _base2_poly(idx.k[0], idx.sign, idx.normalization).embed(m)
-    for r in range(3, m + 1):
-        poly = poly * embedding_F(r, idx.kstar(r - 1), idx.k[r - 2]).embed(m)
-    return poly
+    return _basis_product(idx, _harm_base(idx.sign), embedding_F)
 
 
 def real_basis(idx: BasisIndex) -> tuple[MPoly, MPoly]:
@@ -202,6 +228,8 @@ def _check_point(m: int, x, h, unsafe_domain: bool):
         raise ValueError(f"x needs {m} coordinates")
     if len(h) != m - 1:
         raise ValueError(f"h needs {m - 1} coordinates")
+    if not all(map(math.isfinite, x + h)):
+        raise ValueError("x and h must be finite")
     if not unsafe_domain:
         if sum(v * v for v in x) > 1.0 + 1e-12:
             raise DomainError("point lies outside the closed unit ball")
@@ -210,15 +238,38 @@ def _check_point(m: int, x, h, unsafe_domain: bool):
     return x, h
 
 
+def _descend(x, h):
+    """The dimension recursion from m = len(x) down to 2.
+
+    Returns the levels [(r, d_r, h_r)] for r = m..3, where h_r is the already
+    rescaled h entry and d_r = 1 - 2*x_r*h_r + h_r^2*|x|_r^2 > 0, and the final
+    rescaled h_2.  Each level divides the remaining h entries by d_r.
+    """
+    levels = []
+    for r in range(len(x), 2, -1):
+        r2 = sum(v * v for v in x[:r])
+        d = 1.0 - 2.0 * x[r - 1] * h[r - 2] + h[r - 2] * h[r - 2] * r2
+        if d <= 0.0:
+            raise SingularityError(f"kernel d_{r} = {d} is not positive")
+        levels.append((r, d, h[r - 2]))
+        h = [v / d for v in h[: r - 2]]
+    return levels, h[0]
+
+
+def _plain_denominator(x1: float, x2: float, h2: float) -> float:
+    """1 - 2*x_1*h_2 + h_2^2*(x_1^2 + x_2^2), the plain base's denominator."""
+    denom = 1.0 - 2.0 * x1 * h2 + h2 * h2 * (x1 * x1 + x2 * x2)
+    if denom <= 0.0:
+        raise SingularityError("plain base denominator vanished")
+    return denom
+
+
 def _base2_value(x1: float, x2: float, h2: float, sign: int,
                  normalization: str) -> complex:
     z = complex(x1, sign * x2)
     if normalization == FACTORIAL:
         return cmath.exp(z * h2)
-    denom = 1.0 - 2.0 * x1 * h2 + h2 * h2 * (x1 * x1 + x2 * x2)
-    if denom <= 0.0:
-        raise SingularityError("plain base denominator vanished")
-    return (1.0 - z.conjugate() * h2) / denom
+    return (1.0 - z.conjugate() * h2) / _plain_denominator(x1, x2, h2)
 
 
 def gf_harm_closed(m: int, x, h, sign=+1, normalization: str = FACTORIAL,
@@ -227,15 +278,11 @@ def gf_harm_closed(m: int, x, h, sign=+1, normalization: str = FACTORIAL,
     sign = _norm_sign(sign)
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain)
+    levels, h2 = _descend(x, h)
     value = complex(1.0)
-    for r in range(m, 2, -1):
-        r2 = sum(v * v for v in x[:r])
-        d = 1.0 - 2.0 * x[r - 1] * h[r - 2] + h[r - 2] * h[r - 2] * r2
-        if d <= 0.0:
-            raise SingularityError(f"kernel d_{r} = {d} is not positive")
+    for r, d, _ in levels:
         value *= d ** (1.0 - r / 2.0)
-        h = [v / d for v in h[: r - 2]]
-    return value * _base2_value(x[0], x[1], h[0], sign, normalization)
+    return value * _base2_value(x[0], x[1], h2, sign, normalization)
 
 
 def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
@@ -258,21 +305,26 @@ def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
     return d ** -0.5 * (1.0 - complex(x1, -sign * x2) * g) / denom
 
 
-def gf_harm_series(m: int, order: int, sign=+1,
-                   normalization: str = FACTORIAL) -> HSeries:
-    """Exact truncated generating series; coefficient at k equals harm_basis(k)."""
-    sign = _norm_sign(sign)
-    _check_norm(normalization)
+def _gf_series(base: MPoly, m: int, order: int, normalization: str,
+               kind: str) -> HSeries:
+    """exp(base*h_2) or the plain power series, lifted to dimension m."""
     if m < 2:
         raise ValueError("dimension must be at least 2")
-    base = MPoly(2, GAUSSIAN, {(1, 0): 1, (0, 1): make_gaussian(0, sign)})
     if normalization == FACTORIAL:
         series = exp_series(base, order)
     else:
         series = power_series(base, order)
     for _ in range(3, m + 1):
-        series = lift_step(series, HARMONIC, order)
+        series = lift_step(series, kind, order)
     return series
+
+
+def gf_harm_series(m: int, order: int, sign=+1,
+                   normalization: str = FACTORIAL) -> HSeries:
+    """Exact truncated generating series; coefficient at k equals harm_basis(k)."""
+    sign = _norm_sign(sign)
+    _check_norm(normalization)
+    return _gf_series(_harm_base(sign), m, order, normalization, HARMONIC)
 
 
 def embedding_f_value(m: int, j: int, k: int, x) -> float:
@@ -289,6 +341,43 @@ def embedding_f_value(m: int, j: int, k: int, x) -> float:
     return tot
 
 
+def _base_powers(base, one, order: int, normalization: str, scale) -> list:
+    """Float values base^{k_2} (over k_2! in the factorial normalization), k_2 <= order.
+
+    scale(value, t) multiplies a value by the float t.
+    """
+    values = [one]
+    for k2 in range(1, order + 1):
+        nxt = values[-1] * base
+        if normalization == FACTORIAL:
+            nxt = scale(nxt, 1.0 / k2)
+        values.append(nxt)
+    return values
+
+
+def _partial_sum(m: int, h, order: int, base_values: list, factor, zero, scale):
+    """Sum over |k| <= order of factor_m ... factor_3 * base_values[k_2] * h^k.
+
+    factor(r, j, k_r) is the float value of the dimension-r embedding factor
+    with j = k_2 + ... + k_{r-1}; it multiplies from the left.  Factor values
+    are computed once per (r, j, k_r).  scale(value, t) multiplies a value by
+    the float t.
+    """
+    cache: dict = {}
+    total = zero
+    for k in iter_multi_indices(m - 1, order):
+        term = scale(base_values[k[0]], h[0] ** k[0])
+        jstar = k[0]
+        for r in range(3, m + 1):
+            key = (r, jstar, k[r - 2])
+            if key not in cache:
+                cache[key] = factor(*key)
+            term = scale(cache[key] * term, h[r - 2] ** k[r - 2])
+            jstar += k[r - 2]
+        total = total + term
+    return total
+
+
 def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,
                         normalization: str = FACTORIAL) -> complex:
     """Float partial sum of the generating series over |k| <= order."""
@@ -296,27 +385,8 @@ def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,
     _check_norm(normalization)
     x = [float(v) for v in x]
     h = [float(v) for v in h]
-    z = complex(x[0], sign * x[1])
-    base_vals = [complex(1.0)]
-    for k2 in range(1, order + 1):
-        nxt = base_vals[-1] * z
-        if normalization == FACTORIAL:
-            nxt /= k2
-        base_vals.append(nxt)
-    fcache: dict = {}
-
-    def fval(r, j, kr):
-        key = (r, j, kr)
-        if key not in fcache:
-            fcache[key] = embedding_f_value(r, j, kr, x)
-        return fcache[key]
-
-    total = complex(0.0)
-    for k in iter_multi_indices(m - 1, order):
-        term = base_vals[k[0]] * h[0] ** k[0]
-        jstar = k[0]
-        for r in range(3, m + 1):
-            term *= fval(r, jstar, k[r - 2]) * h[r - 2] ** k[r - 2]
-            jstar += k[r - 2]
-        total += term
-    return total
+    base_values = _base_powers(complex(x[0], sign * x[1]), complex(1.0), order,
+                               normalization, operator.mul)
+    return _partial_sum(m, h, order, base_values,
+                        lambda r, j, kr: embedding_f_value(r, j, kr, x), complex(0.0),
+                        operator.mul)

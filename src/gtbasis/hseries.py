@@ -229,15 +229,13 @@ def power_series(p: MPoly, order: int) -> HSeries:
     return HSeries(p.dim, order, p.ring, terms)
 
 
-def _vector_times_em(m: int) -> MPoly:
-    """The polynomial x*e_m = -x_m + sum_{j<m} x_j e_{jm} over the clifford ring."""
+def _underline_x_em(m: int) -> MPoly:
+    """ux*e_m = sum_{j<m} x_j e_{jm} over the clifford ring; x*e_m is this minus x_m."""
     em = 1 << (m - 1)
     terms = {}
     for j in range(1, m):
         exps = tuple(1 if i == j - 1 else 0 for i in range(m))
         terms[exps] = Multivector.blade(m, (1 << (j - 1)) | em)
-    xm_exps = tuple(1 if i == m - 1 else 0 for i in range(m))
-    terms[xm_exps] = Multivector.scalar(m, -1)
     return MPoly(m, CLIFFORD, terms)
 
 
@@ -283,7 +281,7 @@ def lift_step(series: HSeries, kind: str, order: int) -> HSeries:
         k1 = (0,) * (m - 2) + (1,)
         prefactor = HSeries(m, order, ring, {
             k0: MPoly.constant(m, 1, ring),
-            k1: _vector_times_em(m),
+            k1: _underline_x_em(m) - MPoly.variable(m, m, ring),
         })
         out = prefactor * out
     return out

@@ -8,7 +8,8 @@ The basis is built like the harmonic one but with Clifford embedding factors
 (ux = x_1 e_1 + ... + x_{m-1} e_{m-1}, F^(-1) = 0) multiplying the dimension-2
 base (x_1 - e_12 x_2)^{k_2}/k_2! from the left, outermost dimension leftmost.
 The Clifford product does not commute, so the factor order is part of the
-definition and is encoded in exactly one place here (`mon_basis`).
+definition; it is encoded in exactly one place, the left-multiplied product
+`harmonics._basis_product` that `mon_basis` and `harm_basis` share.
 
 The generating function M_m(x, h) = sum_k mon_k(x) h^k satisfies
 
@@ -25,52 +26,24 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import Multivector
-from .errors import SingularityError
-from .harmonics import (FACTORIAL, PLAIN, DomainBox, _check_norm, _check_point,
-                        embedding_F, embedding_f_value, iter_multi_indices)
-from .hseries import MONOGENIC, HSeries, exp_series, lift_step, power_series
+from .harmonics import (FACTORIAL, PLAIN, DomainBox, _base_powers, _basis_product,
+                        _check_norm, _check_point, _descend, _gf_series, _Index,
+                        _partial_sum, _plain_denominator, embedding_F,
+                        embedding_f_value, iter_multi_indices)
+from .hseries import MONOGENIC, HSeries, _underline_x_em
 from .mvpoly import CLIFFORD, MPoly
 
 E12 = 0b11
 
 
 @dataclass(frozen=True)
-class MonIndex:
+class MonIndex(_Index):
     """Label of one spherical monogenic: multi-index and normalization."""
 
-    k: tuple[int, ...]
     normalization: str = FACTORIAL
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        _check_norm(self.normalization)
-        if len(self.k) < 1:
-            raise ValueError("index needs at least the k_2 entry (m >= 2)")
-        if any(v < 0 for v in self.k):
-            raise ValueError("index entries must be non-negative")
-
-    @property
-    def m(self) -> int:
-        return len(self.k) + 1
-
-    def degree(self) -> int:
-        return sum(self.k)
-
-    def kstar(self, r: int) -> int:
-        return sum(self.k[: r - 1])
 
     def __str__(self):
         return f"mon_{{{','.join(map(str, self.k))}}} [{self.normalization}]"
-
-
-def _underline_x_em(m: int) -> MPoly:
-    """ux * e_m = sum_{j<m} x_j e_{jm} over the clifford ring in dimension m."""
-    em = 1 << (m - 1)
-    terms = {}
-    for j in range(1, m):
-        exps = tuple(1 if i == j - 1 else 0 for i in range(m))
-        terms[exps] = Multivector.blade(m, (1 << (j - 1)) | em)
-    return MPoly(m, CLIFFORD, terms)
 
 
 @lru_cache(maxsize=None)
@@ -86,23 +59,15 @@ def embedding_X(m: int, j: int, k: int) -> MPoly:
     return first + second
 
 
-def _base2_mon_poly(k2: int, normalization: str) -> MPoly:
-    """(x_1 - e_12 x_2)^{k_2}, divided by k_2! in the factorial normalization."""
-    p = MPoly(2, CLIFFORD, {(1, 0): Multivector.scalar(2, 1),
-                            (0, 1): Multivector.blade(2, E12, -1)})
-    out = p ** k2
-    if normalization == FACTORIAL:
-        out = out.scale(Fraction(1, math.factorial(k2)))
-    return out
+def _mon_base() -> MPoly:
+    """The monogenic base polynomial x_1 - e_12 x_2."""
+    return MPoly(2, CLIFFORD, {(1, 0): Multivector.scalar(2, 1),
+                               (0, 1): Multivector.blade(2, E12, -1)})
 
 
 def mon_basis(idx: MonIndex) -> MPoly:
     """The spherical monogenic labelled by idx, with the factor order of the definition."""
-    m = idx.m
-    poly = _base2_mon_poly(idx.k[0], idx.normalization).embed(m)
-    for r in range(3, m + 1):
-        poly = embedding_X(r, idx.kstar(r - 1), idx.k[r - 2]).embed(m) * poly
-    return poly
+    return _basis_product(idx, _mon_base(), embedding_X)
 
 
 def enumerate_mon_indices(m: int, deg_max: int,
@@ -123,9 +88,7 @@ def _base2_mon_value(m: int, x1: float, x2: float, h2: float,
         r = math.exp(x1 * h2)
         return Multivector(m, {0: r * math.cos(x2 * h2),
                                E12: -r * math.sin(x2 * h2)})
-    denom = 1.0 - 2.0 * x1 * h2 + h2 * h2 * (x1 * x1 + x2 * x2)
-    if denom <= 0.0:
-        raise SingularityError("plain base denominator vanished")
+    denom = _plain_denominator(x1, x2, h2)
     return Multivector(m, {0: (1.0 - x1 * h2) / denom, E12: -x2 * h2 / denom})
 
 
@@ -143,19 +106,13 @@ def gf_mon_closed(m: int, x, h, normalization: str = FACTORIAL,
     """Closed-form value of the monogenic generating function (float multivector)."""
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain)
-    prefactors = []
+    levels, h2 = _descend(x, h)
     scale = 1.0
-    for r in range(m, 2, -1):
-        r2 = sum(v * v for v in x[:r])
-        d = 1.0 - 2.0 * x[r - 1] * h[r - 2] + h[r - 2] * h[r - 2] * r2
-        if d <= 0.0:
-            raise SingularityError(f"kernel d_{r} = {d} is not positive")
-        prefactors.append(_prefactor_value(m, r, x, h[r - 2]))
+    for r, d, _ in levels:
         scale *= d ** (-r / 2.0)
-        h = [v / d for v in h[: r - 2]]
-    value = _base2_mon_value(m, x[0], x[1], h[0], normalization).scale(scale)
-    for pref in reversed(prefactors):
-        value = pref * value
+    value = _base2_mon_value(m, x[0], x[1], h2, normalization).scale(scale)
+    for r, _, hr in reversed(levels):
+        value = _prefactor_value(m, r, x, hr) * value
     return value
 
 
@@ -179,17 +136,7 @@ def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
 def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries:
     """Exact truncated generating series; coefficient at k equals mon_basis(k)."""
     _check_norm(normalization)
-    if m < 2:
-        raise ValueError("dimension must be at least 2")
-    base = MPoly(2, CLIFFORD, {(1, 0): Multivector.scalar(2, 1),
-                               (0, 1): Multivector.blade(2, E12, -1)})
-    if normalization == FACTORIAL:
-        series = exp_series(base, order)
-    else:
-        series = power_series(base, order)
-    for _ in range(3, m + 1):
-        series = lift_step(series, MONOGENIC, order)
-    return series
+    return _gf_series(_mon_base(), m, order, normalization, MONOGENIC)
 
 
 def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:
@@ -210,31 +157,12 @@ def gf_mon_partial_sum(m: int, x, h, order: int,
     _check_norm(normalization)
     x = [float(v) for v in x]
     h = [float(v) for v in h]
-    base = Multivector(m, {0: x[0], E12: -x[1]})
-    base_vals = [Multivector.scalar(m, 1.0)]
-    for k2 in range(1, order + 1):
-        nxt = base_vals[-1] * base
-        if normalization == FACTORIAL:
-            nxt = nxt.scale(1.0 / k2)
-        base_vals.append(nxt)
-    xcache: dict = {}
-
-    def xval(r, j, kr):
-        key = (r, j, kr)
-        if key not in xcache:
-            xcache[key] = embedding_x_value(r, m, j, kr, x)
-        return xcache[key]
-
-    total = Multivector.zero(m)
-    for k in iter_multi_indices(m - 1, order):
-        term = base_vals[k[0]].scale(h[0] ** k[0])
-        jstar = k[0]
-        for r in range(3, m + 1):
-            term = xval(r, jstar, k[r - 2]) * term
-            term = term.scale(h[r - 2] ** k[r - 2])
-            jstar += k[r - 2]
-        total = total + term
-    return total
+    base_values = _base_powers(Multivector(m, {0: x[0], E12: -x[1]}),
+                               Multivector.scalar(m, 1.0), order, normalization,
+                               Multivector.scale)
+    return _partial_sum(m, h, order, base_values,
+                        lambda r, j, kr: embedding_x_value(r, m, j, kr, x),
+                        Multivector.zero(m), Multivector.scale)
 
 
 __all__ = [

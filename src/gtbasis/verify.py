@@ -20,15 +20,15 @@ import numpy as np
 
 from .clifford import Multivector
 from .gegenbauer import gegenbauer_poly, gf_value, series_oracle
-from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, embedding_F,
+from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _harm_base, embedding_F,
                         enumerate_harm_indices, gf_harm_closed, gf_harm_closed_m3,
                         gf_harm_partial_sum, gf_harm_series, harm_basis,
                         iter_multi_indices)
-from .hseries import HSeries, binomial_expand, power_series
-from .monogenics import (MonIndex, _underline_x_em, embedding_X,
-                         enumerate_mon_indices, gf_mon_closed, gf_mon_closed_m3,
-                         gf_mon_partial_sum, gf_mon_series, mon_basis)
-from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, radius_squared
+from .hseries import HSeries, _underline_x_em, binomial_expand, power_series
+from .monogenics import (MonIndex, _mon_base, embedding_X, enumerate_mon_indices,
+                         gf_mon_closed, gf_mon_closed_m3, gf_mon_partial_sum,
+                         gf_mon_series, mon_basis)
+from .mvpoly import CLIFFORD, MPoly, radius_squared
 from .ballint import inner_harm, inner_mon
 
 SUITES = ("pde", "ortho", "extract", "gf", "lemmas")
@@ -112,28 +112,72 @@ def _random_clifford_poly(rng, m: int, deg: int, nterms: int = 6) -> MPoly:
     return MPoly(m, CLIFFORD, terms)
 
 
+# -- what the harmonic and monogenic checks differ in -------------------------
+
+
+def _abs_gap(a, b) -> float:
+    return abs(a - b)
+
+
+def _component_gap(a, b) -> float:
+    return max((abs(c) for c in (a - b).terms.values()), default=0.0)
+
+
+def _relative_tol(value) -> float:
+    return RECUR_TOL * max(1.0, abs(value))
+
+
+def _absolute_tol(value) -> float:
+    return RECUR_TOL
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One basis family's functions, for the check bodies the two families share.
+
+    The checks pass `normalization` and each keyword dict of `variants` as
+    keyword arguments to index, series, closed, closed_m3 and partial_sum.
+    """
+
+    tag: str            # "harm" or "mon", as in the check names and witnesses
+    variants: tuple     # keyword dicts of the members: the two harmonic signs
+    indices: object     # enumerate_*_indices(m, deg_max, norm)
+    index: object       # index label from (k, **kw)
+    basis: object       # basis polynomial of a label
+    kernel: str         # MPoly method that annihilates the basis
+    inner: object       # exact ball inner product
+    series: object      # gf_*_series(m, order, **kw)
+    closed: object      # gf_*_closed(m, x, h, **kw)
+    closed_m3: object   # gf_*_closed_m3(x, h, **kw)
+    partial_sum: object  # gf_*_partial_sum(m, x, h, order, **kw)
+    gap: object         # distance between two float values
+    gap_label: str      # how closed-vs-series witnesses name that distance
+    recur_tol: object   # recurrence tolerance at a value
+
+
+def _families() -> tuple[_Family, _Family]:
+    """Looked up at call time, so that replaced module functions take effect."""
+    harm = _Family("harm", ({"sign": +1}, {"sign": -1}), enumerate_harm_indices,
+                   BasisIndex, harm_basis, "laplacian", inner_harm, gf_harm_series,
+                   gf_harm_closed, gf_harm_closed_m3, gf_harm_partial_sum, _abs_gap,
+                   "|closed-series| =", _relative_tol)
+    mon = _Family("mon", ({},), enumerate_mon_indices, MonIndex, mon_basis, "dirac",
+                  inner_mon, gf_mon_series, gf_mon_closed, gf_mon_closed_m3,
+                  gf_mon_partial_sum, _component_gap, "component error", _absolute_tol)
+    return harm, mon
+
+
 # -- pde suite ---------------------------------------------------------------
 
 
-def _check_harm_kernel(m: int, deg: int, norm: str):
+def _check_kernel(fam: _Family, m: int, deg: int, norm: str):
     def run(rng):
-        for idx in enumerate_harm_indices(m, deg, norm):
-            poly = harm_basis(idx)
-            if not poly.laplacian().is_zero():
-                return False, f"laplacian(harm {idx}) != 0"
+        for idx in fam.indices(m, deg, norm):
+            poly = fam.basis(idx)
+            if not getattr(poly, fam.kernel)().is_zero():
+                return False, f"{fam.kernel}({fam.tag} {idx}) != 0"
             if not poly.is_homogeneous(idx.degree()):
-                return False, f"harm {idx} not homogeneous of degree {idx.degree()}"
-        return True, None
-    return run
-
-def _check_mon_kernel(m: int, deg: int, norm: str):
-    def run(rng):
-        for idx in enumerate_mon_indices(m, deg, norm):
-            poly = mon_basis(idx)
-            if not poly.dirac().is_zero():
-                return False, f"dirac(mon {idx}) != 0"
-            if not poly.is_homogeneous(idx.degree()):
-                return False, f"mon {idx} not homogeneous of degree {idx.degree()}"
+                return False, f"{fam.tag} {idx} not homogeneous of degree {idx.degree()}"
         return True, None
     return run
 
@@ -152,29 +196,15 @@ def _check_factorization(m_max: int, count: int):
 # -- ortho suite -------------------------------------------------------------
 
 
-def _check_harm_orthogonality(m: int, deg: int, norm: str):
+def _check_orthogonality(fam: _Family, m: int, deg: int, norm: str):
     def run(rng):
-        basis = [(idx, harm_basis(idx)) for idx in enumerate_harm_indices(m, deg, norm)]
+        basis = [(idx, fam.basis(idx)) for idx in fam.indices(m, deg, norm)]
         for i, (idx_a, a) in enumerate(basis):
-            self_prod = inner_harm(a, a)
+            self_prod = fam.inner(a, a)
             if not self_prod > 0:
                 return False, f"<{idx_a},{idx_a}> = {self_prod} not positive"
             for idx_b, b in basis[i + 1:]:
-                prod = inner_harm(a, b)
-                if not prod.is_zero():
-                    return False, f"<{idx_a},{idx_b}> = {prod} != 0"
-        return True, None
-    return run
-
-def _check_mon_orthogonality(m: int, deg: int, norm: str):
-    def run(rng):
-        basis = [(idx, mon_basis(idx)) for idx in enumerate_mon_indices(m, deg, norm)]
-        for i, (idx_a, a) in enumerate(basis):
-            self_prod = inner_mon(a, a)
-            if not self_prod > 0:
-                return False, f"<{idx_a},{idx_a}> = {self_prod} not positive"
-            for idx_b, b in basis[i + 1:]:
-                prod = inner_mon(a, b)
+                prod = fam.inner(a, b)
                 if not prod.is_zero():
                     return False, f"<{idx_a},{idx_b}> = {prod} != 0"
         return True, None
@@ -184,23 +214,13 @@ def _check_mon_orthogonality(m: int, deg: int, norm: str):
 # -- extract suite -----------------------------------------------------------
 
 
-def _check_harm_extraction(m: int, order: int, sign: int, norm: str):
+def _check_extraction(fam: _Family, m: int, order: int, norm: str, **kw):
     def run(rng):
-        series = gf_harm_series(m, order, sign, norm)
+        series = fam.series(m, order, normalization=norm, **kw)
         for k in iter_multi_indices(m - 1, order):
-            expected = harm_basis(BasisIndex(k, sign, norm))
+            expected = fam.basis(fam.index(k, normalization=norm, **kw))
             if series.coefficient(k) != expected:
-                return False, f"coefficient at k={k} differs from harm_basis"
-        return True, None
-    return run
-
-def _check_mon_extraction(m: int, order: int, norm: str):
-    def run(rng):
-        series = gf_mon_series(m, order, norm)
-        for k in iter_multi_indices(m - 1, order):
-            expected = mon_basis(MonIndex(k, norm))
-            if series.coefficient(k) != expected:
-                return False, f"coefficient at k={k} differs from mon_basis"
+                return False, f"coefficient at k={k} differs from {fam.tag}_basis"
         return True, None
     return run
 
@@ -224,30 +244,17 @@ def _check_gegenbauer_gf_float():
 def _h2_bound(norm: str) -> float:
     return 0.5 if norm == FACTORIAL else 0.1
 
-def _check_harm_closed_vs_series(m: int, norm: str):
+def _check_closed_vs_series(fam: _Family, m: int, norm: str):
     def run(rng):
         for i in range(NUM_POINTS):
             x = _random_ball_point(rng, m)
             h = _random_h(rng, m, _h2_bound(norm))
-            for sign in (+1, -1):
-                closed = gf_harm_closed(m, x, h, sign, norm)
-                partial = gf_harm_partial_sum(m, x, h, SERIES_ORDER, sign, norm)
-                if abs(closed - partial) > GF_TOL:
-                    return False, f"point {i}: |closed-series| = {abs(closed - partial)}"
-        return True, None
-    return run
-
-def _check_mon_closed_vs_series(m: int, norm: str):
-    def run(rng):
-        for i in range(NUM_POINTS):
-            x = _random_ball_point(rng, m)
-            h = _random_h(rng, m, _h2_bound(norm))
-            closed = gf_mon_closed(m, x, h, norm)
-            partial = gf_mon_partial_sum(m, x, h, SERIES_ORDER, norm)
-            diff = closed - partial
-            err = max((abs(c) for c in diff.terms.values()), default=0.0)
-            if err > GF_TOL:
-                return False, f"point {i}: component error {err}"
+            for kw in fam.variants:
+                closed = fam.closed(m, x, h, normalization=norm, **kw)
+                partial = fam.partial_sum(m, x, h, SERIES_ORDER, normalization=norm, **kw)
+                err = fam.gap(closed, partial)
+                if err > GF_TOL:
+                    return False, f"point {i}: {fam.gap_label} {err}"
         return True, None
     return run
 
@@ -262,42 +269,25 @@ def _check_harm_recurrence_step(m: int, norm: str):
             inner = gf_harm_closed(m - 1, x[:-1], [v / d for v in h[:-1]], +1, norm,
                                    unsafe_domain=True)
             step = d ** (1.0 - m / 2.0) * inner
-            if abs(whole - step) > RECUR_TOL * max(1.0, abs(whole)):
+            if abs(whole - step) > _relative_tol(whole):
                 return False, f"point {i}: |recursive-step| = {abs(whole - step)}"
         return True, None
     return run
 
-def _check_harm_m3_formula(sign: int, norm: str):
+def _check_m3_formula(fam: _Family, norm: str, **kw):
     def run(rng):
         for i in range(NUM_POINTS):
             x = _random_ball_point(rng, 3)
             h = _random_h(rng, 3, _h2_bound(norm))
-            direct = gf_harm_closed_m3(x, h, sign, norm)
-            generic = gf_harm_closed(3, x, h, sign, norm)
-            partial = gf_harm_partial_sum(3, x, h, SERIES_ORDER, sign, norm)
-            if abs(direct - generic) > RECUR_TOL * max(1.0, abs(direct)):
-                return False, f"point {i}: m3 formula vs recurrence {abs(direct - generic)}"
-            if abs(direct - partial) > GF_TOL:
-                return False, f"point {i}: m3 formula vs series {abs(direct - partial)}"
-        return True, None
-    return run
-
-def _check_mon_m3_formula(norm: str):
-    def run(rng):
-        for i in range(NUM_POINTS):
-            x = _random_ball_point(rng, 3)
-            h = _random_h(rng, 3, _h2_bound(norm))
-            direct = gf_mon_closed_m3(x, h, norm)
-            generic = gf_mon_closed(3, x, h, norm)
-            partial = gf_mon_partial_sum(3, x, h, SERIES_ORDER, norm)
-            d1 = direct - generic
-            err1 = max((abs(c) for c in d1.terms.values()), default=0.0)
-            if err1 > RECUR_TOL:
-                return False, f"point {i}: m3 formula vs recurrence {err1}"
-            d2 = direct - partial
-            err2 = max((abs(c) for c in d2.terms.values()), default=0.0)
-            if err2 > GF_TOL:
-                return False, f"point {i}: m3 formula vs series {err2}"
+            direct = fam.closed_m3(x, h, normalization=norm, **kw)
+            generic = fam.closed(3, x, h, normalization=norm, **kw)
+            partial = fam.partial_sum(3, x, h, SERIES_ORDER, normalization=norm, **kw)
+            err = fam.gap(direct, generic)
+            if err > fam.recur_tol(direct):
+                return False, f"point {i}: m3 formula vs recurrence {err}"
+            err = fam.gap(direct, partial)
+            if err > GF_TOL:
+                return False, f"point {i}: m3 formula vs series {err}"
         return True, None
     return run
 
@@ -358,30 +348,19 @@ def _check_lemma_gf_x(m: int, j: int, kmax: int = 8):
         return True, None
     return run
 
-def _check_plain_base_geometric(kind: str, sign: int, order: int = 12):
+def _check_plain_base_geometric(base: MPoly, order: int = 12):
+    """power_series(p) = (1 - conj(p) h_2) / (1 - 2 x_1 h_2 + h_2^2 |x|^2) exactly."""
     def run(rng):
-        if kind == "harm":
-            from .scalars import make_gaussian
-            p = MPoly(2, GAUSSIAN, {(1, 0): 1, (0, 1): make_gaussian(0, sign)})
-            numerator_tail = MPoly(2, GAUSSIAN,
-                                   {(1, 0): -1, (0, 1): make_gaussian(0, sign)})
-            ring = GAUSSIAN
-        else:
-            p = MPoly(2, CLIFFORD, {(1, 0): Multivector.scalar(2, 1),
-                                    (0, 1): Multivector.blade(2, 0b11, -1)})
-            numerator_tail = MPoly(2, CLIFFORD,
-                                   {(1, 0): Multivector.scalar(2, -1),
-                                    (0, 1): Multivector.blade(2, 0b11, -1)})
-            ring = CLIFFORD
+        ring = base.ring
         c1 = MPoly.variable(2, 1, ring).scale(-2)
         c2 = MPoly.variable(2, 1, ring) ** 2 + MPoly.variable(2, 2, ring) ** 2
         geom = binomial_expand(Fraction(-1), c1, c2, 2, order)
         numerator = HSeries(2, order, ring, {
             (0,): MPoly.constant(2, 1, ring),
-            (1,): numerator_tail,
+            (1,): -base.conjugate(),
         })
         closed = numerator * geom
-        if closed != power_series(p, order):
+        if closed != power_series(base, order):
             return False, "rational closed form differs from geometric series"
         return True, None
     return run
@@ -393,47 +372,34 @@ def _check_plain_base_geometric(kind: str, sign: int, order: int = 12):
 def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
     checks: list[Check] = []
     want = set(suites)
+    harm, mon = _families()
 
     if "pde" in want:
-        for m in range(2, min(5, m_max) + 1):
-            for norm in (FACTORIAL, PLAIN):
-                checks.append(Check("pde.harm_laplacian_zero",
-                                    {"m": m, "deg_max": deg_max, "norm": norm},
-                                    _check_harm_kernel(m, deg_max, norm)))
-        for m in range(2, min(4, m_max) + 1):
-            for norm in (FACTORIAL, PLAIN):
-                deg = min(4, deg_max)
-                checks.append(Check("pde.mon_dirac_zero",
-                                    {"m": m, "deg_max": deg, "norm": norm},
-                                    _check_mon_kernel(m, deg, norm)))
+        for fam, m_top, deg in ((harm, 5, deg_max), (mon, 4, min(4, deg_max))):
+            for m in range(2, min(m_top, m_max) + 1):
+                for norm in (FACTORIAL, PLAIN):
+                    checks.append(Check(f"pde.{fam.tag}_{fam.kernel}_zero",
+                                        {"m": m, "deg_max": deg, "norm": norm},
+                                        _check_kernel(fam, m, deg, norm)))
         checks.append(Check("pde.dirac_squared_is_laplacian",
                             {"m_max": min(4, m_max), "samples": 100},
                             _check_factorization(min(4, m_max), 100)))
 
     if "ortho" in want:
-        for m in range(2, min(4, m_max) + 1):
-            deg = min(4, deg_max)
-            checks.append(Check("ortho.harm_pairwise",
-                                {"m": m, "deg_max": deg, "norm": FACTORIAL},
-                                _check_harm_orthogonality(m, deg, FACTORIAL)))
-        for m in range(2, min(3, m_max) + 1):
-            deg = min(3, deg_max)
-            checks.append(Check("ortho.mon_pairwise",
-                                {"m": m, "deg_max": deg, "norm": FACTORIAL},
-                                _check_mon_orthogonality(m, deg, FACTORIAL)))
+        for fam, m_top, deg in ((harm, 4, min(4, deg_max)), (mon, 3, min(3, deg_max))):
+            for m in range(2, min(m_top, m_max) + 1):
+                checks.append(Check(f"ortho.{fam.tag}_pairwise",
+                                    {"m": m, "deg_max": deg, "norm": FACTORIAL},
+                                    _check_orthogonality(fam, m, deg, FACTORIAL)))
 
     if "extract" in want:
         for m in range(2, min(4, m_max) + 1):
             for norm in (FACTORIAL, PLAIN):
-                n = min(order, 4)
-                for sign in (+1, -1):
-                    checks.append(Check("extract.harm_series_equals_basis",
-                                        {"m": m, "order": n, "sign": sign, "norm": norm},
-                                        _check_harm_extraction(m, n, sign, norm)))
-                n_mon = min(order, 3)
-                checks.append(Check("extract.mon_series_equals_basis",
-                                    {"m": m, "order": n_mon, "norm": norm},
-                                    _check_mon_extraction(m, n_mon, norm)))
+                for fam, n in ((harm, min(order, 4)), (mon, min(order, 3))):
+                    for kw in fam.variants:
+                        checks.append(Check(f"extract.{fam.tag}_series_equals_basis",
+                                            {"m": m, "order": n, "norm": norm, **kw},
+                                            _check_extraction(fam, m, n, norm, **kw)))
 
     if "gf" in want:
         checks.append(Check("gf.gegenbauer_closed_vs_partial",
@@ -441,12 +407,10 @@ def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
                             _check_gegenbauer_gf_float()))
         for m in range(2, min(4, m_max) + 1):
             for norm in (FACTORIAL, PLAIN):
-                checks.append(Check("gf.harm_closed_vs_series",
-                                    {"m": m, "norm": norm, "points": NUM_POINTS},
-                                    _check_harm_closed_vs_series(m, norm)))
-                checks.append(Check("gf.mon_closed_vs_series",
-                                    {"m": m, "norm": norm, "points": NUM_POINTS},
-                                    _check_mon_closed_vs_series(m, norm)))
+                for fam in (harm, mon):
+                    checks.append(Check(f"gf.{fam.tag}_closed_vs_series",
+                                        {"m": m, "norm": norm, "points": NUM_POINTS},
+                                        _check_closed_vs_series(fam, m, norm)))
         for m in range(3, min(4, m_max) + 1):
             for norm in (FACTORIAL, PLAIN):
                 checks.append(Check("gf.harm_recurrence_step",
@@ -454,12 +418,11 @@ def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
                                     _check_harm_recurrence_step(m, norm)))
         if m_max >= 3:
             for norm in (FACTORIAL, PLAIN):
-                for sign in (+1, -1):
-                    checks.append(Check("gf.harm_m3_closed_formula",
-                                        {"sign": sign, "norm": norm},
-                                        _check_harm_m3_formula(sign, norm)))
-                checks.append(Check("gf.mon_m3_closed_formula", {"norm": norm},
-                                    _check_mon_m3_formula(norm)))
+                for fam in (harm, mon):
+                    for kw in fam.variants:
+                        checks.append(Check(f"gf.{fam.tag}_m3_closed_formula",
+                                            {"norm": norm, **kw},
+                                            _check_m3_formula(fam, norm, **kw)))
 
     if "lemmas" in want:
         checks.append(Check("lemmas.gegenbauer_recurrence_vs_oracle",
@@ -483,10 +446,10 @@ def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
         for sign in (+1, -1):
             checks.append(Check("lemmas.plain_base_geometric",
                                 {"kind": "harm", "sign": sign, "order": 12},
-                                _check_plain_base_geometric("harm", sign)))
+                                _check_plain_base_geometric(_harm_base(sign))))
         checks.append(Check("lemmas.plain_base_geometric",
                             {"kind": "mon", "order": 12},
-                            _check_plain_base_geometric("mon", +1)))
+                            _check_plain_base_geometric(_mon_base())))
 
     return checks
 
@@ -506,6 +469,10 @@ def run_verify(suites=("all",), m_max: int = 4, deg_max: int = 4, order: int = 3
     unknown = set(suites) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
+    for name, value, low in (("m_max", m_max, 2), ("deg_max", deg_max, 0),
+                             ("order", order, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     checks = build_checks(selected, m_max, deg_max, order)
     threads = thread_count() if threads is None else max(1, threads)
     timings: dict = {}
