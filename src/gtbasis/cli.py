@@ -1,9 +1,10 @@
 """Command-line interface: basis construction, generating functions, verification.
 
-Exit codes: 0 success, 2 invalid index/arguments, 3 evaluation point outside
-the certified domain (override with --unsafe-domain), 4 singular kernel
-(d_m <= 0).  Structured output is JSON on stdout; suite timings go to stderr
-so that reports are byte-identical for identical flags and seed.
+Exit codes: 0 success, 2 invalid index/arguments or a generating-function
+value beyond the float range, 3 evaluation point outside the certified domain
+(override with --unsafe-domain), 4 singular kernel (d_m <= 0).  Structured
+output is JSON on stdout; suite timings go to stderr so that reports are
+byte-identical for identical flags and seed.
 """
 
 from __future__ import annotations

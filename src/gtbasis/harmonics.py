@@ -41,6 +41,8 @@ PLAIN = "plain"
 
 _NORMS = (FACTORIAL, PLAIN)
 
+FLOAT_OVERFLOW = "the generating-function value overflows the float range"
+
 
 def _norm_sign(sign) -> int:
     if sign in (+1, "+", "plus"):
@@ -279,10 +281,13 @@ def gf_harm_closed(m: int, x, h, sign=+1, normalization: str = FACTORIAL,
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain)
     levels, h2 = _descend(x, h)
-    value = complex(1.0)
-    for r, d, _ in levels:
-        value *= d ** (1.0 - r / 2.0)
-    return value * _base2_value(x[0], x[1], h2, sign, normalization)
+    try:
+        value = complex(1.0)
+        for r, d, _ in levels:
+            value *= d ** (1.0 - r / 2.0)
+        return value * _base2_value(x[0], x[1], h2, sign, normalization)
+    except OverflowError as exc:
+        raise ValueError(FLOAT_OVERFLOW) from exc
 
 
 def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
@@ -297,7 +302,10 @@ def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
     if d <= 0.0:
         raise SingularityError(f"kernel d_3 = {d} is not positive")
     if normalization == FACTORIAL:
-        return d ** -0.5 * cmath.exp(complex(x1, sign * x2) * h2 / d)
+        try:
+            return d ** -0.5 * cmath.exp(complex(x1, sign * x2) * h2 / d)
+        except OverflowError as exc:
+            raise ValueError(FLOAT_OVERFLOW) from exc
     g = h2 / d
     denom = 1.0 - 2.0 * x1 * g + g * g * (x1 * x1 + x2 * x2)
     if denom <= 0.0:
@@ -328,17 +336,28 @@ def gf_harm_series(m: int, order: int, sign=+1,
 
 
 def embedding_f_value(m: int, j: int, k: int, x) -> float:
-    """Float value of F^(k)_{m,j} at a point (first m coordinates of x are used)."""
+    """Float value of F^(k)_{m,j} at a point (first m coordinates of x are used).
+
+    Evaluated by the homogenized Gegenbauer recurrence, nu = m/2 + j - 1:
+    n*F_n = 2*(n+nu-1)*x_m*F_{n-1} - (n+2*nu-2)*|x|_m^2*F_{n-2},
+    with F_0 = 1 and F_1 = 2*nu*x_m.
+    """
+    if m < 3:
+        raise ValueError("embedding factors need m >= 3")
+    if j < 0:
+        raise ValueError("j must be non-negative")
+    if k < -1:
+        raise ValueError("k must be >= -1")
     if k == -1:
         return 0.0
-    g = gegenbauer_poly(Fraction(m, 2) + j - 1, k)
+    nu = m / 2.0 + j - 1.0
     r2 = sum(float(x[i]) ** 2 for i in range(m))
     xm = float(x[m - 1])
-    tot = 0.0
-    for i, c in enumerate(g.coeffs):
-        if c:
-            tot += float(c) * xm ** i * r2 ** ((k - i) // 2)
-    return tot
+    prev, cur = 0.0, 1.0
+    for n in range(1, k + 1):
+        prev, cur = cur, (2.0 * (n + nu - 1.0) * xm * cur
+                          - (n + 2.0 * nu - 2.0) * r2 * prev) / n
+    return cur
 
 
 def _base_powers(base, one, order: int, normalization: str, scale) -> list:
@@ -359,23 +378,22 @@ def _partial_sum(m: int, h, order: int, base_values: list, factor, zero, scale):
     """Sum over |k| <= order of factor_m ... factor_3 * base_values[k_2] * h^k.
 
     factor(r, j, k_r) is the float value of the dimension-r embedding factor
-    with j = k_2 + ... + k_{r-1}; it multiplies from the left.  Factor values
-    are computed once per (r, j, k_r).  scale(value, t) multiplies a value by
-    the float t.
+    with j = k_2 + ... + k_{r-1}; it multiplies from the left.  Since it
+    depends on the lower indices only through j, the sum is built one
+    dimension at a time by total degree: level[s] is the dimension-r sum over
+    k_2 + ... + k_r = s, and
+
+        level_r[s] = sum_{k_r <= s} factor(r, s-k_r, k_r) * level_{r-1}[s-k_r] * h_r^{k_r}.
+
+    scale(value, t) multiplies a value by the float t.
     """
-    cache: dict = {}
-    total = zero
-    for k in iter_multi_indices(m - 1, order):
-        term = scale(base_values[k[0]], h[0] ** k[0])
-        jstar = k[0]
-        for r in range(3, m + 1):
-            key = (r, jstar, k[r - 2])
-            if key not in cache:
-                cache[key] = factor(*key)
-            term = scale(cache[key] * term, h[r - 2] ** k[r - 2])
-            jstar += k[r - 2]
-        total = total + term
-    return total
+    level = [scale(v, h[0] ** s) for s, v in enumerate(base_values)]
+    for r in range(3, m + 1):
+        hpow = [h[r - 2] ** kr for kr in range(order + 1)]
+        level = [sum((scale(factor(r, s - kr, kr) * level[s - kr], hpow[kr])
+                      for kr in range(s + 1)), zero)
+                 for s in range(order + 1)]
+    return sum(level, zero)
 
 
 def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,

@@ -26,10 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import Multivector
-from .harmonics import (FACTORIAL, PLAIN, DomainBox, _base_powers, _basis_product,
-                        _check_norm, _check_point, _descend, _gf_series, _Index,
-                        _partial_sum, _plain_denominator, embedding_F,
-                        embedding_f_value, iter_multi_indices)
+from .errors import SingularityError
+from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base_powers,
+                        _basis_product, _check_norm, _check_point, _descend,
+                        _gf_series, _Index, _partial_sum, _plain_denominator,
+                        embedding_F, embedding_f_value, iter_multi_indices)
 from .hseries import MONOGENIC, HSeries, _underline_x_em
 from .mvpoly import CLIFFORD, MPoly
 
@@ -107,13 +108,16 @@ def gf_mon_closed(m: int, x, h, normalization: str = FACTORIAL,
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain)
     levels, h2 = _descend(x, h)
-    scale = 1.0
-    for r, d, _ in levels:
-        scale *= d ** (-r / 2.0)
-    value = _base2_mon_value(m, x[0], x[1], h2, normalization).scale(scale)
-    for r, _, hr in reversed(levels):
-        value = _prefactor_value(m, r, x, hr) * value
-    return value
+    try:
+        scale = 1.0
+        for r, d, _ in levels:
+            scale *= d ** (-r / 2.0)
+        value = _base2_mon_value(m, x[0], x[1], h2, normalization).scale(scale)
+        for r, _, hr in reversed(levels):
+            value = _prefactor_value(m, r, x, hr) * value
+        return value
+    except OverflowError as exc:
+        raise ValueError(FLOAT_OVERFLOW) from exc
 
 
 def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
@@ -129,8 +133,11 @@ def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
     prefactor = Multivector(3, {0: 1.0 - x3 * h3,
                                 0b101: x1 * h3,
                                 0b110: x2 * h3})
-    base = _base2_mon_value(3, x1, x2, h2 / d, normalization)
-    return prefactor * base.scale(d ** -1.5)
+    try:
+        base = _base2_mon_value(3, x1, x2, h2 / d, normalization)
+        return prefactor * base.scale(d ** -1.5)
+    except OverflowError as exc:
+        raise ValueError(FLOAT_OVERFLOW) from exc
 
 
 def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries:

@@ -61,8 +61,17 @@ class Check:
     fn: object = field(repr=False)
 
     def run(self, seed: int) -> CheckResult:
+        """Run the check; an exception it raises becomes a failed result.
+
+        The witness of such a failure is "<ExcType>: <message>", so that the
+        report stays deterministic and the other checks still run.
+        """
         rng = _check_rng(seed, self.name, self.params)
-        ok, witness = self.fn(rng)
+        try:
+            ok, witness = self.fn(rng)
+        except Exception as exc:
+            return CheckResult(self.name, self.params, "fail",
+                               f"{type(exc).__name__}: {exc}")
         return CheckResult(self.name, self.params, "pass" if ok else "fail", witness)
 
 
@@ -405,13 +414,13 @@ def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
         checks.append(Check("gf.gegenbauer_closed_vs_partial",
                             {"order": SERIES_ORDER, "tol": 1e-10},
                             _check_gegenbauer_gf_float()))
-        for m in range(2, min(4, m_max) + 1):
+        for m in range(2, min(5, m_max) + 1):
             for norm in (FACTORIAL, PLAIN):
                 for fam in (harm, mon):
                     checks.append(Check(f"gf.{fam.tag}_closed_vs_series",
                                         {"m": m, "norm": norm, "points": NUM_POINTS},
                                         _check_closed_vs_series(fam, m, norm)))
-        for m in range(3, min(4, m_max) + 1):
+        for m in range(3, min(5, m_max) + 1):
             for norm in (FACTORIAL, PLAIN):
                 checks.append(Check("gf.harm_recurrence_step",
                                     {"m": m, "norm": norm, "points": NUM_POINTS},
