@@ -17,7 +17,7 @@ from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, embedding_F,
                         gf_harm_closed_m3, gf_harm_partial_sum, gf_harm_series,
                         harm_basis, iter_multi_indices, real_basis)
 from .hseries import (HARMONIC, MONOGENIC, HSeries, binomial_expand, exp_series,
-                      lift_step, power_series, series_mul)
+                      lift_step, power_series)
 from .monogenics import (MonIndex, embedding_X, embedding_x_value,
                          enumerate_mon_indices, gf_mon_closed, gf_mon_closed_m3,
                          gf_mon_partial_sum, gf_mon_series, mon_basis)
@@ -39,6 +39,5 @@ __all__ = [
     "gf_mon_partial_sum", "gf_mon_series", "gf_value", "harm_basis",
     "inner_harm", "inner_mon", "inner_mon_full", "iter_multi_indices",
     "lift_step", "make_gaussian", "mon_basis", "monomial_ball_integral",
-    "pi_power", "power_series", "radius_squared", "real_basis", "series_mul",
-    "series_oracle",
+    "pi_power", "power_series", "radius_squared", "real_basis", "series_oracle",
 ]

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
-from .clifford import Multivector
-from .mvpoly import CLIFFORD, GAUSSIAN, MPoly
-from .scalars import PiScaled, conj_scalar
+from .clifford import Multivector, blade_product
+from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _accumulate
+from .scalars import PiScaled
 
 __all__ = ["gamma_half", "monomial_ball_integral", "inner_harm", "inner_mon",
            "inner_mon_full", "pi_power"]
@@ -65,25 +66,28 @@ def monomial_ball_integral(m: int, alpha) -> PiScaled:
     return _ball_integral_cached(m, alpha)
 
 
-def _ball_pairing(p: MPoly, q: MPoly, ring: str, conj, zero, caller: str):
-    """Sum over term pairs of conj(a) * b * (rational part of the ball integral).
+def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str) -> dict:
+    """Blade -> sum over term pairs of conj(a) * b * (rational part of the ball integral).
 
-    Every nonzero integral in dimension m carries the same sqrt(pi) power,
-    pi_power(m), which the caller attaches.
+    conj is MPoly.conjugate, which means i -> -i in the gaussian ring and
+    Clifford conjugation in the clifford one.  Every nonzero integral in
+    dimension m carries the same sqrt(pi) power, pi_power(m), which the
+    caller attaches.
     """
     if p.ring != ring or q.ring != ring:
         raise ValueError(f"{caller} needs {ring}-ring polynomials")
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     m = p.dim
-    acc = zero
-    for ea, ca in p.terms.items():
-        ca = conj(ca)
-        for eb, cb in q.terms.items():
-            integral = monomial_ball_integral(m, tuple(x + y for x, y in zip(ea, eb)))
+    acc: dict = {}
+    for (ea, ba), ca in p.conjugate().terms.items():
+        for (eb, bb), cb in q.terms.items():
+            integral = monomial_ball_integral(m, tuple(map(add, ea, eb)))
             if integral.is_zero():
                 continue
-            acc = acc + ca * cb * integral.q
+            sign, blade = blade_product(ba, bb, m)
+            c = ca * cb * integral.q
+            _accumulate(acc, blade, c if sign > 0 else -c)
     return acc
 
 
@@ -93,8 +97,8 @@ def inner_harm(p: MPoly, q: MPoly) -> PiScaled:
     Conjugate-linear in p, linear in q; the result is an exact (Gaussian)
     rational multiple of the dimension's pi power.
     """
-    acc = _ball_pairing(p, q, GAUSSIAN, conj_scalar, Fraction(0), "inner_harm")
-    return PiScaled(acc, pi_power(p.dim))
+    acc = _ball_pairing(p, q, GAUSSIAN, "inner_harm")
+    return PiScaled(acc.get(0, 0), pi_power(p.dim))
 
 
 def inner_mon(p: MPoly, q: MPoly) -> PiScaled:
@@ -109,6 +113,5 @@ def inner_mon_full(p: MPoly, q: MPoly) -> tuple[Multivector, int]:
     Returns (value, s): an exact multivector of rational coefficients and
     the sqrt(pi) exponent s, meaning value * pi^(s/2).
     """
-    acc = _ball_pairing(p, q, CLIFFORD, Multivector.conjugate, Multivector.zero(p.dim),
-                        "inner_mon")
-    return acc, pi_power(p.dim)
+    acc = _ball_pairing(p, q, CLIFFORD, "inner_mon")
+    return Multivector(p.dim, acc), pi_power(p.dim)

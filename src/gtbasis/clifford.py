@@ -39,6 +39,12 @@ def blade_product(a: int, b: int, dim: int) -> tuple[int, int]:
     return sign, a ^ b
 
 
+def conjugation_sign(mask: int) -> int:
+    """Sign of a blade under Clifford conjugation: (-1)^(r(r+1)/2) at grade r."""
+    r = mask.bit_count()
+    return -1 if (r * (r + 1) // 2) & 1 else 1
+
+
 def blade_name(mask: int) -> str:
     """Human name of a blade: '1' for the scalar, else e.g. 'e13'."""
     if mask == 0:
@@ -205,11 +211,8 @@ class Multivector:
 
     def conjugate(self) -> "Multivector":
         """Clifford conjugation: grade r scaled by (-1)^(r(r+1)/2); conj(ab) = conj(b)conj(a)."""
-        terms = {}
-        for mask, coeff in self.terms.items():
-            r = mask.bit_count()
-            terms[mask] = -coeff if (r * (r + 1) // 2) & 1 else coeff
-        return Multivector(self.dim, terms)
+        return Multivector(self.dim, {mask: -coeff if conjugation_sign(mask) < 0 else coeff
+                                      for mask, coeff in self.terms.items()})
 
     def conjugate_scalars(self) -> "Multivector":
         """Complex conjugation of the coefficients only (i -> -i)."""

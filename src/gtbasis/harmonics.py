@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -224,6 +223,8 @@ def enumerate_harm_indices(m: int, deg_max: int,
 
 
 def _check_point(m: int, x, h, unsafe_domain: bool):
+    if m < 2:
+        raise ValueError("dimension m must be at least 2")
     x = [float(v) for v in x]
     h = [float(v) for v in h]
     if len(x) != m:
@@ -360,21 +361,18 @@ def embedding_f_value(m: int, j: int, k: int, x) -> float:
     return cur
 
 
-def _base_powers(base, one, order: int, normalization: str, scale) -> list:
-    """Float values base^{k_2} (over k_2! in the factorial normalization), k_2 <= order.
-
-    scale(value, t) multiplies a value by the float t.
-    """
+def _base_powers(base, one, order: int, normalization: str) -> list:
+    """Float values base^{k_2} (over k_2! in the factorial normalization), k_2 <= order."""
     values = [one]
     for k2 in range(1, order + 1):
         nxt = values[-1] * base
         if normalization == FACTORIAL:
-            nxt = scale(nxt, 1.0 / k2)
+            nxt = nxt * (1.0 / k2)
         values.append(nxt)
     return values
 
 
-def _partial_sum(m: int, h, order: int, base_values: list, factor, zero, scale):
+def _partial_sum(m: int, h, order: int, base_values: list, factor, zero):
     """Sum over |k| <= order of factor_m ... factor_3 * base_values[k_2] * h^k.
 
     factor(r, j, k_r) is the float value of the dimension-r embedding factor
@@ -384,13 +382,13 @@ def _partial_sum(m: int, h, order: int, base_values: list, factor, zero, scale):
     k_2 + ... + k_r = s, and
 
         level_r[s] = sum_{k_r <= s} factor(r, s-k_r, k_r) * level_{r-1}[s-k_r] * h_r^{k_r}.
-
-    scale(value, t) multiplies a value by the float t.
     """
-    level = [scale(v, h[0] ** s) for s, v in enumerate(base_values)]
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    level = [v * h[0] ** s for s, v in enumerate(base_values)]
     for r in range(3, m + 1):
         hpow = [h[r - 2] ** kr for kr in range(order + 1)]
-        level = [sum((scale(factor(r, s - kr, kr) * level[s - kr], hpow[kr])
+        level = [sum((factor(r, s - kr, kr) * level[s - kr] * hpow[kr]
                       for kr in range(s + 1)), zero)
                  for s in range(order + 1)]
     return sum(level, zero)
@@ -401,10 +399,8 @@ def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,
     """Float partial sum of the generating series over |k| <= order."""
     sign = _norm_sign(sign)
     _check_norm(normalization)
-    x = [float(v) for v in x]
-    h = [float(v) for v in h]
+    x, h = _check_point(m, x, h, unsafe_domain=True)
     base_values = _base_powers(complex(x[0], sign * x[1]), complex(1.0), order,
-                               normalization, operator.mul)
+                               normalization)
     return _partial_sum(m, h, order, base_values,
-                        lambda r, j, kr: embedding_f_value(r, j, kr, x), complex(0.0),
-                        operator.mul)
+                        lambda r, j, kr: embedding_f_value(r, j, kr, x), complex(0.0))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .clifford import Multivector
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, radius_squared
 from .scalars import binom_frac
 
@@ -142,11 +141,6 @@ class HSeries:
         return cls(data["m"], data["order"], ring, terms)
 
 
-def series_mul(a: HSeries, b: HSeries) -> HSeries:
-    """Cauchy product truncated to min(order_a, order_b)."""
-    return a * b
-
-
 def _u_powers(c1: MPoly, c2: MPoly, order: int) -> list[dict]:
     """Truncated powers of u = c1*h + c2*h^2; entry n maps h-degree -> MPoly."""
     ring = c1.ring
@@ -232,11 +226,19 @@ def power_series(p: MPoly, order: int) -> HSeries:
 def _underline_x_em(m: int) -> MPoly:
     """ux*e_m = sum_{j<m} x_j e_{jm} over the clifford ring; x*e_m is this minus x_m."""
     em = 1 << (m - 1)
-    terms = {}
-    for j in range(1, m):
-        exps = tuple(1 if i == j - 1 else 0 for i in range(m))
-        terms[exps] = Multivector.blade(m, (1 << (j - 1)) | em)
-    return MPoly(m, CLIFFORD, terms)
+    return MPoly._make(m, CLIFFORD, {
+        (tuple(1 if i == j - 1 else 0 for i in range(m)), (1 << (j - 1)) | em): Fraction(1)
+        for j in range(1, m)})
+
+
+def _monogenic_prefactor(m: int, order: int) -> HSeries:
+    """The two-term series 1 + x*h_m*e_m, with x*e_m = ux*e_m - x_m."""
+    k0 = (0,) * (m - 1)
+    k1 = (0,) * (m - 2) + (1,)
+    return HSeries(m, order, CLIFFORD, {
+        k0: MPoly.constant(m, 1, CLIFFORD),
+        k1: _underline_x_em(m) - MPoly.variable(m, m, CLIFFORD),
+    })
 
 
 def lift_step(series: HSeries, kind: str, order: int) -> HSeries:
@@ -277,11 +279,5 @@ def lift_step(series: HSeries, kind: str, order: int) -> HSeries:
                 acc[k] = prod
     out = HSeries(m, order, ring, acc)
     if kind == MONOGENIC:
-        k0 = (0,) * (m - 1)
-        k1 = (0,) * (m - 2) + (1,)
-        prefactor = HSeries(m, order, ring, {
-            k0: MPoly.constant(m, 1, ring),
-            k1: _underline_x_em(m) - MPoly.variable(m, m, ring),
-        })
-        out = prefactor * out
+        out = _monogenic_prefactor(m, order) * out
     return out

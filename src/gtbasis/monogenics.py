@@ -62,8 +62,7 @@ def embedding_X(m: int, j: int, k: int) -> MPoly:
 
 def _mon_base() -> MPoly:
     """The monogenic base polynomial x_1 - e_12 x_2."""
-    return MPoly(2, CLIFFORD, {(1, 0): Multivector.scalar(2, 1),
-                               (0, 1): Multivector.blade(2, E12, -1)})
+    return MPoly._make(2, CLIFFORD, {((1, 0), 0): Fraction(1), ((0, 1), E12): Fraction(-1)})
 
 
 def mon_basis(idx: MonIndex) -> MPoly:
@@ -162,14 +161,12 @@ def gf_mon_partial_sum(m: int, x, h, order: int,
                        normalization: str = FACTORIAL) -> Multivector:
     """Float partial sum of the monogenic generating series over |k| <= order."""
     _check_norm(normalization)
-    x = [float(v) for v in x]
-    h = [float(v) for v in h]
+    x, h = _check_point(m, x, h, unsafe_domain=True)
     base_values = _base_powers(Multivector(m, {0: x[0], E12: -x[1]}),
-                               Multivector.scalar(m, 1.0), order, normalization,
-                               Multivector.scale)
+                               Multivector.scalar(m, 1.0), order, normalization)
     return _partial_sum(m, h, order, base_values,
                         lambda r, j, kr: embedding_x_value(r, m, j, kr, x),
-                        Multivector.zero(m), Multivector.scale)
+                        Multivector.zero(m))
 
 
 __all__ = [

@@ -1,68 +1,92 @@
 """Multivariate polynomials in x_1..x_m over exact coefficient rings.
 
-Two rings are supported: ``gaussian`` (Fraction / GaussianRational
-coefficients) and ``clifford`` (exact Multivector coefficients living in
-R_{0,m} with the same m as the variables).  Variables are real and commute
-with everything; in the Clifford ring only the coefficients fail to commute,
-so products keep coefficient order.
+A polynomial is one sparse map (exponents, blade) -> exact scalar (Fraction
+or GaussianRational), the layout of the JSON form.  The blade is a bitmask
+over the generators of R_{0,m}, with the same m as the variables.  Two rings
+share this representation: ``clifford`` polynomials may use every blade,
+``gaussian`` ones only the scalar blade 0.  Variables are real and commute
+with everything; in the Clifford ring only the blades fail to commute, so
+products keep factor order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .clifford import Multivector
-from .scalars import GaussianRational, conj_scalar, format_gaussian, make_gaussian
+from .clifford import Multivector, blade_product, conjugation_sign
+from .scalars import GaussianRational, conj_scalar, make_gaussian
 
 GAUSSIAN = "gaussian"
 CLIFFORD = "clifford"
 
+_RINGS = (GAUSSIAN, CLIFFORD)
+_EXACT = (int, Fraction, GaussianRational)
 
-def _coerce_coeff(coeff, dim: int, ring: str):
-    if ring == CLIFFORD:
-        if isinstance(coeff, (int, Fraction, GaussianRational)):
-            coeff = Multivector.scalar(dim, coeff)
-        if not isinstance(coeff, Multivector):
-            raise TypeError("clifford ring needs Multivector coefficients")
+
+def _check_space(dim: int, ring: str) -> None:
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    if ring not in _RINGS:
+        raise ValueError(f"unknown ring {ring!r}")
+
+
+def _check_exps(exps, dim: int) -> tuple:
+    exps = tuple(int(e) for e in exps)
+    if len(exps) != dim or any(e < 0 for e in exps):
+        raise ValueError(f"bad exponent vector {exps} for dim {dim}")
+    return exps
+
+
+def _blades(coeff, dim: int, ring: str):
+    """The (blade, exact scalar) pairs of a caller's coefficient."""
+    if isinstance(coeff, Multivector):
+        if ring != CLIFFORD:
+            raise TypeError("Multivector coefficients need the clifford ring")
         if coeff.dim != dim:
             raise ValueError(f"coefficient algebra dim {coeff.dim} != {dim}")
         if not coeff.is_exact():
             raise ValueError("polynomial coefficients must be exact")
-        return coeff
-    if ring == GAUSSIAN:
-        if isinstance(coeff, int):
-            return Fraction(coeff)
-        if isinstance(coeff, (Fraction, GaussianRational)):
-            return coeff
-        raise TypeError("gaussian ring needs Fraction/GaussianRational coefficients")
-    raise ValueError(f"unknown ring {ring!r}")
+        return coeff.terms.items()
+    if not isinstance(coeff, _EXACT):
+        raise TypeError("coefficients must be exact scalars or Multivectors")
+    return ((0, Fraction(coeff) if isinstance(coeff, int) else coeff),)
 
 
-def _nonzero(coeff) -> bool:
-    if isinstance(coeff, Multivector):
-        return not coeff.is_zero()
-    return coeff != 0
+def _accumulate(acc: dict, key, coeff) -> None:
+    acc[key] = acc[key] + coeff if key in acc else coeff
+
+
+def _fill(poly, dim: int, ring: str, terms: dict):
+    object.__setattr__(poly, "dim", dim)
+    object.__setattr__(poly, "ring", ring)
+    object.__setattr__(poly, "terms", {key: c for key, c in terms.items() if c})
+    return poly
 
 
 class MPoly:
-    """Immutable sparse polynomial: exponent tuple -> exact coefficient."""
+    """Immutable sparse polynomial: (exponent tuple, blade) -> exact scalar."""
 
     __slots__ = ("dim", "ring", "terms")
 
     def __init__(self, dim: int, ring: str = GAUSSIAN, terms: dict | None = None):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        clean = {}
+        """Validate a caller's {exponent tuple: coefficient} map.
+
+        A coefficient is an int, Fraction or GaussianRational, or in the
+        clifford ring an exact Multivector of R_{0,dim}.
+        """
+        _check_space(dim, ring)
+        acc: dict = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != dim or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for dim {dim}")
-            coeff = _coerce_coeff(coeff, dim, ring)
-            if _nonzero(coeff):
-                clean[exps] = coeff
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+            exps = _check_exps(exps, dim)
+            for blade, c in _blades(coeff, dim, ring):
+                _accumulate(acc, (exps, blade), c)
+        _fill(self, dim, ring, acc)
+
+    @classmethod
+    def _make(cls, dim: int, ring: str, terms: dict) -> "MPoly":
+        """Trusted constructor for terms built from valid polynomials: drops zeros only."""
+        return _fill(object.__new__(cls), dim, ring, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -98,47 +122,53 @@ class MPoly:
         """Largest total degree, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(sum(exps) for exps in self.terms)
+        return max(sum(exps) for exps, _ in self.terms)
 
     def is_homogeneous(self, degree: int) -> bool:
         """True when every term has the given total degree (zero passes for all)."""
-        return all(sum(exps) == degree for exps in self.terms)
+        return all(sum(exps) == degree for exps, _ in self.terms)
 
     def coeff(self, exps):
+        """Coefficient of x^exps: a Multivector (clifford) or an exact scalar (gaussian)."""
         exps = tuple(exps)
-        if exps in self.terms:
-            return self.terms[exps]
+        blades = {blade: self.terms[exps, blade] for blade in range(1 << self.dim)
+                  if (exps, blade) in self.terms}
         if self.ring == CLIFFORD:
-            return Multivector.zero(self.dim)
-        return Fraction(0)
+            return Multivector(self.dim, blades)
+        return blades.get(0, Fraction(0))
 
     def _require_same(self, other: "MPoly") -> None:
         if self.dim != other.dim or self.ring != other.ring:
             raise ValueError("dimension/ring mismatch")
 
+    def _require_ring(self, ring: str, what: str) -> None:
+        if self.ring != ring:
+            raise ValueError(f"{what} needs the {ring} ring")
+
+    def _sorted_terms(self) -> list:
+        """Terms by total degree, then exponents, then blade."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0]))
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, Multivector)):
+        if isinstance(other, (*_EXACT, Multivector)):
             other = MPoly.constant(self.dim, other, self.ring)
         if not isinstance(other, MPoly):
             return NotImplemented
         self._require_same(other)
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            if exps in terms:
-                terms[exps] = terms[exps] + coeff
-            else:
-                terms[exps] = coeff
-        return MPoly(self.dim, self.ring, terms)
+        for key, coeff in other.terms.items():
+            _accumulate(terms, key, coeff)
+        return MPoly._make(self.dim, self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.dim, self.ring, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.dim, self.ring, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, Multivector)):
+        if isinstance(other, (*_EXACT, Multivector)):
             other = MPoly.constant(self.dim, other, self.ring)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -148,37 +178,36 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        """Product; a Multivector factor multiplies every coefficient from the right."""
+        if isinstance(other, _EXACT):
             return self.scale(other)
         if isinstance(other, Multivector):
-            # coefficient multiplied from the right
-            return MPoly(self.dim, self.ring,
-                         {e: c * other for e, c in self.terms.items()})
+            other = MPoly.constant(self.dim, other, self.ring)
         if not isinstance(other, MPoly):
             return NotImplemented
         self._require_same(other)
+        dim = self.dim
         acc: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
+        for (ea, ba), ca in self.terms.items():
+            for (eb, bb), cb in other.terms.items():
+                sign, blade = blade_product(ba, bb, dim)
                 c = ca * cb
-                if exps in acc:
-                    acc[exps] = acc[exps] + c
-                else:
-                    acc[exps] = c
-        return MPoly(self.dim, self.ring, acc)
+                _accumulate(acc, (tuple(map(add, ea, eb)), blade), c if sign > 0 else -c)
+        return MPoly._make(dim, self.ring, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        """A scalar, or a Multivector multiplying every coefficient from the left."""
+        if isinstance(other, _EXACT):
             return self.scale(other)
         if isinstance(other, Multivector):
-            # coefficient multiplied from the left
-            return MPoly(self.dim, self.ring,
-                         {e: other * c for e, c in self.terms.items()})
+            return MPoly.constant(self.dim, other, self.ring) * self
         return NotImplemented
 
     def scale(self, factor):
-        return MPoly(self.dim, self.ring, {e: factor * c for e, c in self.terms.items()})
+        if not isinstance(factor, _EXACT):
+            raise TypeError("scale factor must be an exact scalar")
+        return MPoly._make(self.dim, self.ring,
+                           {key: factor * c for key, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -193,7 +222,7 @@ class MPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _EXACT):
             other = MPoly.constant(self.dim, other, self.ring)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -210,13 +239,11 @@ class MPoly:
             raise ValueError(f"variable index {j} out of range 1..{self.dim}")
         i = j - 1
         terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            terms[tuple(new)] = coeff * exps[i]
-        return MPoly(self.dim, self.ring, terms)
+        for (exps, blade), coeff in self.terms.items():
+            if exps[i]:
+                lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                terms[lowered, blade] = coeff * exps[i]
+        return MPoly._make(self.dim, self.ring, terms)
 
     def laplacian(self) -> "MPoly":
         """Sum of second partials over all variables."""
@@ -227,18 +254,22 @@ class MPoly:
 
     def dirac(self) -> "MPoly":
         """Apply e_1 d/dx_1 + ... + e_m d/dx_m, generators acting from the left."""
-        if self.ring != CLIFFORD:
-            raise ValueError("Dirac operator needs the clifford ring")
-        out = MPoly.zero(self.dim, self.ring)
+        self._require_ring(CLIFFORD, "Dirac operator")
+        origin = (0,) * self.dim
+        out = MPoly.zero(self.dim, CLIFFORD)
         for j in range(1, self.dim + 1):
-            ej = Multivector.basis_vector(self.dim, j)
+            ej = MPoly._make(self.dim, CLIFFORD, {(origin, 1 << (j - 1)): Fraction(1)})
             out = out + ej * self.deriv(j)
         return out
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, point):
-        """Evaluate at a point; exact for int/Fraction coordinates, float otherwise."""
+        """Evaluate at a point; exact for int/Fraction coordinates, float otherwise.
+
+        The value is a Multivector in the clifford ring and a scalar in the
+        gaussian one.
+        """
         point = list(point)
         if len(point) != self.dim:
             raise ValueError(f"point has {len(point)} coordinates, need {self.dim}")
@@ -255,84 +286,63 @@ class MPoly:
                 cache[e] = coords[i] ** e
             return cache[e]
 
-        if self.ring == CLIFFORD:
-            acc = Multivector.zero(self.dim)
-            for exps, coeff in self.terms.items():
-                mono = Fraction(1) if exact else 1.0
-                for i, e in enumerate(exps):
-                    if e:
-                        mono *= power(i, e)
-                mv = coeff if exact else coeff.to_float()
-                acc = acc + mv.scale(mono)
-            return acc
-        acc = Fraction(0) if exact else 0.0
-        for exps, coeff in self.terms.items():
+        zero = Fraction(0) if exact else 0.0
+        acc: dict = {}
+        for (exps, blade), coeff in self.terms.items():
             mono = Fraction(1) if exact else 1.0
             for i, e in enumerate(exps):
                 if e:
                     mono *= power(i, e)
             if not exact:
                 coeff = complex(coeff) if isinstance(coeff, GaussianRational) else float(coeff)
-            acc = acc + coeff * mono
-        return acc
+            acc[blade] = acc.get(blade, zero) + coeff * mono
+        if self.ring == CLIFFORD:
+            return Multivector(self.dim, acc)
+        return acc.get(0, zero)
 
     # -- ring/shape conversions --------------------------------------------
 
     def embed(self, dim: int) -> "MPoly":
-        """View as a polynomial in more variables (new exponents zero)."""
+        """View as a polynomial in more variables (new exponents zero, blades unchanged)."""
         if dim < self.dim:
             raise ValueError("cannot embed into fewer variables")
         if dim == self.dim:
             return self
         pad = (0,) * (dim - self.dim)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if isinstance(coeff, Multivector):
-                coeff = coeff.embed(dim)
-            terms[exps + pad] = coeff
-        return MPoly(dim, self.ring, terms)
+        return MPoly._make(dim, self.ring, {(exps + pad, blade): c
+                                            for (exps, blade), c in self.terms.items()})
 
     def to_clifford(self) -> "MPoly":
-        """Embed a real gaussian polynomial as scalar blades in the clifford ring."""
-        if self.ring == CLIFFORD:
-            return self
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if isinstance(coeff, GaussianRational):
-                raise ValueError("cannot move genuinely complex coefficients to R_{0,m}")
-            terms[exps] = Multivector.scalar(self.dim, coeff)
-        return MPoly(self.dim, CLIFFORD, terms)
+        """The same real polynomial in the clifford ring."""
+        if any(isinstance(c, GaussianRational) for c in self.terms.values()):
+            raise ValueError("cannot move genuinely complex coefficients to R_{0,m}")
+        return MPoly._make(self.dim, CLIFFORD, self.terms)
 
     def conjugate(self) -> "MPoly":
         """Coefficient conjugation: i -> -i (gaussian) or Clifford conjugation (clifford)."""
         if self.ring == CLIFFORD:
-            return MPoly(self.dim, CLIFFORD,
-                         {e: c.conjugate() for e, c in self.terms.items()})
-        return MPoly(self.dim, GAUSSIAN,
-                     {e: conj_scalar(c) for e, c in self.terms.items()})
+            terms = {(exps, blade): -c if conjugation_sign(blade) < 0 else c
+                     for (exps, blade), c in self.terms.items()}
+        else:
+            terms = {key: conj_scalar(c) for key, c in self.terms.items()}
+        return MPoly._make(self.dim, self.ring, terms)
 
     def real_part(self) -> "MPoly":
-        if self.ring != GAUSSIAN:
-            raise ValueError("real_part needs the gaussian ring")
-        terms = {}
-        for exps, coeff in self.terms.items():
-            re = coeff.re if isinstance(coeff, GaussianRational) else Fraction(coeff)
-            terms[exps] = re
-        return MPoly(self.dim, GAUSSIAN, terms)
+        self._require_ring(GAUSSIAN, "real_part")
+        return MPoly._make(self.dim, GAUSSIAN, {
+            key: c.re if isinstance(c, GaussianRational) else c
+            for key, c in self.terms.items()})
 
     def imag_part(self) -> "MPoly":
-        if self.ring != GAUSSIAN:
-            raise ValueError("imag_part needs the gaussian ring")
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if isinstance(coeff, GaussianRational):
-                terms[exps] = coeff.im
-        return MPoly(self.dim, GAUSSIAN, terms)
+        self._require_ring(GAUSSIAN, "imag_part")
+        return MPoly._make(self.dim, GAUSSIAN, {
+            key: c.im for key, c in self.terms.items() if isinstance(c, GaussianRational)})
 
     # -- rendering / serialization ------------------------------------------
 
     def __repr__(self):
-        return f"MPoly({self.dim}, {self.ring!r}, <{len(self.terms)} terms>)"
+        monomials = len({exps for exps, _ in self.terms})
+        return f"MPoly({self.dim}, {self.ring!r}, <{monomials} terms>)"
 
     def __str__(self):
         return self.to_text()
@@ -340,21 +350,19 @@ class MPoly:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
+        by_monomial: dict = {}
+        for (exps, blade), coeff in self._sorted_terms():
+            by_monomial.setdefault(exps, {})[blade] = coeff
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[exps]
+        for exps, blades in by_monomial.items():
             mono = "*".join(
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                 for i, e in enumerate(exps) if e
             )
-            if isinstance(coeff, Multivector):
-                ctxt = coeff.to_text()
-                if len(coeff.terms) > 1:
-                    ctxt = f"({ctxt})"
-            else:
-                ctxt = format_gaussian(coeff)
-                if ("+" in ctxt[1:] or "-" in ctxt[1:]) and mono:
-                    ctxt = f"({ctxt})"
+            ctxt = Multivector(self.dim, blades).to_text()
+            if len(blades) > 1 or (mono and 0 in blades
+                                   and ("+" in ctxt[1:] or "-" in ctxt[1:])):
+                ctxt = f"({ctxt})"
             if not mono:
                 parts.append(ctxt)
             elif ctxt == "1":
@@ -366,42 +374,34 @@ class MPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict:
+        """{"m", "ring", "terms"}: one entry per term; clifford entries name their blade."""
         entries = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[exps]
-            if isinstance(coeff, Multivector):
-                for blade_entry in coeff.to_json()["terms"]:
-                    entry = {"exp": list(exps)}
-                    entry.update(blade_entry)
-                    entries.append(entry)
-            else:
-                if isinstance(coeff, GaussianRational):
-                    re, im = coeff.re, coeff.im
-                else:
-                    re, im = Fraction(coeff), Fraction(0)
-                entry = {"exp": list(exps), "num": re.numerator, "den": re.denominator}
-                if im:
-                    entry["inum"] = im.numerator
-                    entry["iden"] = im.denominator
-                entries.append(entry)
+        for (exps, blade), coeff in self._sorted_terms():
+            re, im = (coeff.re, coeff.im) if isinstance(coeff, GaussianRational) \
+                else (coeff, Fraction(0))
+            entry = {"exp": list(exps)}
+            if self.ring == CLIFFORD:
+                entry["blade"] = blade
+            entry.update(num=re.numerator, den=re.denominator)
+            if im:
+                entry.update(inum=im.numerator, iden=im.denominator)
+            entries.append(entry)
         return {"m": self.dim, "ring": self.ring, "terms": entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "MPoly":
         dim = data["m"]
         ring = data["ring"]
+        _check_space(dim, ring)
         acc: dict = {}
         for entry in data["terms"]:
-            exps = tuple(entry["exp"])
+            blade = entry.get("blade", 0)
+            if not 0 <= blade < (1 << dim) or (blade and ring != CLIFFORD):
+                raise ValueError(f"bad blade {blade} for the {ring} ring in dim {dim}")
             coeff = make_gaussian(Fraction(entry["num"], entry["den"]),
                                   Fraction(entry.get("inum", 0), entry.get("iden", 1)))
-            if ring == CLIFFORD:
-                coeff = Multivector.blade(dim, entry.get("blade", 0), coeff)
-            if exps in acc:
-                acc[exps] = acc[exps] + coeff
-            else:
-                acc[exps] = coeff
-        return cls(dim, ring, acc)
+            _accumulate(acc, (_check_exps(entry["exp"], dim), blade), coeff)
+        return cls._make(dim, ring, acc)
 
 
 def radius_squared(dim: int, upto: int | None = None, ring: str = GAUSSIAN) -> MPoly:

@@ -18,17 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clifford import Multivector
 from .gegenbauer import gegenbauer_poly, gf_value, series_oracle
 from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _harm_base, embedding_F,
                         enumerate_harm_indices, gf_harm_closed, gf_harm_closed_m3,
                         gf_harm_partial_sum, gf_harm_series, harm_basis,
                         iter_multi_indices)
-from .hseries import HSeries, _underline_x_em, binomial_expand, power_series
+from .hseries import HSeries, _monogenic_prefactor, binomial_expand, power_series
 from .monogenics import (MonIndex, _mon_base, embedding_X, enumerate_mon_indices,
                          gf_mon_closed, gf_mon_closed_m3, gf_mon_partial_sum,
                          gf_mon_series, mon_basis)
-from .mvpoly import CLIFFORD, MPoly, radius_squared
+from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, radius_squared
 from .ballint import inner_harm, inner_mon
 
 SUITES = ("pde", "ortho", "extract", "gf", "lemmas")
@@ -114,11 +113,9 @@ def _random_clifford_poly(rng, m: int, deg: int, nterms: int = 6) -> MPoly:
             e = int(rng.integers(0, left + 1))
             exps.append(e)
             left -= e
-        mask = int(rng.integers(0, 1 << m))
-        coeff = Multivector.blade(m, mask, _random_fraction(rng))
-        key = tuple(exps)
-        terms[key] = terms.get(key, Multivector.zero(m)) + coeff
-    return MPoly(m, CLIFFORD, terms)
+        key = (tuple(exps), int(rng.integers(0, 1 << m)))
+        terms[key] = terms.get(key, 0) + _random_fraction(rng)
+    return MPoly._make(m, CLIFFORD, terms)
 
 
 # -- what the harmonic and monogenic checks differ in -------------------------
@@ -324,35 +321,16 @@ def _check_gegenbauer_parity():
         return True, None
     return run
 
-def _check_lemma_gf_f(m: int, j: int, kmax: int = 8):
+def _check_lemma_gf(m: int, j: int, ring: str, alpha: Fraction, prefactor, factor,
+                    kmax: int = 8):
+    """prefactor * (1 - 2 x_m h_m + h_m^2 |x|_m^2)^alpha = sum_k factor(m, j, k) h_m^k."""
     def run(rng):
-        alpha = -(Fraction(m, 2) - 1 + j)
-        c1 = MPoly.variable(m, m).scale(-2)
-        c2 = radius_squared(m)
-        series = binomial_expand(alpha, c1, c2, m, kmax)
+        c1 = MPoly.variable(m, m, ring).scale(-2)
+        c2 = radius_squared(m, ring=ring)
+        series = prefactor(m, kmax) * binomial_expand(alpha, c1, c2, m, kmax)
         for k in range(kmax + 1):
             key = tuple(k if i == m - 2 else 0 for i in range(m - 1))
-            if series.coefficient(key) != embedding_F(m, j, k):
-                return False, f"k={k}: expansion differs from embedding factor"
-        return True, None
-    return run
-
-def _check_lemma_gf_x(m: int, j: int, kmax: int = 8):
-    def run(rng):
-        alpha = -(Fraction(m, 2) + j)
-        c1 = MPoly.variable(m, m, CLIFFORD).scale(-2)
-        c2 = radius_squared(m, ring=CLIFFORD)
-        denom = binomial_expand(alpha, c1, c2, m, kmax)
-        k0 = (0,) * (m - 1)
-        k1 = tuple(1 if i == m - 2 else 0 for i in range(m - 1))
-        xm = MPoly.variable(m, m, CLIFFORD)
-        x_em = _underline_x_em(m) - xm  # x*e_m = ux*e_m - x_m
-        prefactor = HSeries(m, kmax, CLIFFORD,
-                            {k0: MPoly.constant(m, 1, CLIFFORD), k1: x_em})
-        series = prefactor * denom
-        for k in range(kmax + 1):
-            key = tuple(k if i == m - 2 else 0 for i in range(m - 1))
-            if series.coefficient(key) != embedding_X(m, j, k):
+            if series.coefficient(key) != factor(m, j, k):
                 return False, f"k={k}: expansion differs from embedding factor"
         return True, None
     return run
@@ -438,20 +416,18 @@ def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
                             {"k_max": 12}, _check_gegenbauer_recurrence_vs_oracle()))
         checks.append(Check("lemmas.gegenbauer_parity",
                             {"k_max": 12}, _check_gegenbauer_parity()))
-        for m in (3, 4, 5):
-            if m > max(m_max, 3):
-                continue
-            for j in range(4):
-                checks.append(Check("lemmas.gf_f_embedding",
-                                    {"m": m, "j": j, "k_max": 8},
-                                    _check_lemma_gf_f(m, j)))
-        for m in (3, 4):
-            if m > max(m_max, 3):
-                continue
-            for j in range(4):
-                checks.append(Check("lemmas.gf_x_embedding",
-                                    {"m": m, "j": j, "k_max": 8},
-                                    _check_lemma_gf_x(m, j)))
+        # (1 - 2 x_m h_m + h_m^2 |x|_m^2)^(lift - m/2 - j), lift = 1 harmonic, 0 monogenic
+        lemmas = (("f", (3, 4, 5), GAUSSIAN, 1, HSeries.one, embedding_F),
+                  ("x", (3, 4), CLIFFORD, 0, _monogenic_prefactor, embedding_X))
+        for tag, dims, ring, lift, prefactor, factor in lemmas:
+            for m in dims:
+                if m > max(m_max, 3):
+                    continue
+                for j in range(4):
+                    alpha = lift - Fraction(m, 2) - j
+                    checks.append(Check(f"lemmas.gf_{tag}_embedding",
+                                        {"m": m, "j": j, "k_max": 8},
+                                        _check_lemma_gf(m, j, ring, alpha, prefactor, factor)))
         for sign in (+1, -1):
             checks.append(Check("lemmas.plain_base_geometric",
                                 {"kind": "harm", "sign": sign, "order": 12},

@@ -8,7 +8,7 @@ import pytest
 from gtbasis import (CLIFFORD, GAUSSIAN, HARMONIC, MONOGENIC, HSeries, MPoly,
                      Multivector, binomial_expand, embedding_F, exp_series,
                      harm_basis, BasisIndex, lift_step, make_gaussian,
-                     power_series, radius_squared, series_mul)
+                     power_series, radius_squared)
 
 I = make_gaussian(0, 1)
 
@@ -24,8 +24,8 @@ def x(m, j, ring=GAUSSIAN):
 def test_product_of_one_plus_minus_h2():
     a = HSeries(2, 2, GAUSSIAN, {(0,): const(2, 1), (1,): const(2, 1)})
     b = HSeries(2, 2, GAUSSIAN, {(0,): const(2, 1), (1,): const(2, -1)})
-    assert series_mul(a, b) == HSeries(2, 2, GAUSSIAN,
-                                       {(0,): const(2, 1), (2,): const(2, -1)})
+    assert a * b == HSeries(2, 2, GAUSSIAN,
+                            {(0,): const(2, 1), (2,): const(2, -1)})
 
 
 def test_product_in_distinct_variables():
