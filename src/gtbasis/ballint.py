@@ -66,6 +66,10 @@ def monomial_ball_integral(m: int, alpha) -> PiScaled:
     return _ball_integral_cached(m, alpha)
 
 
+def _parity(exps: tuple) -> tuple:
+    return tuple(e & 1 for e in exps)
+
+
 def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str) -> dict:
     """Blade -> sum over term pairs of conj(a) * b * (rational part of the ball integral).
 
@@ -79,12 +83,15 @@ def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str) -> dict:
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     m = p.dim
+    # A pair integrates to zero unless its exponents have the same parity in
+    # every variable, so each p term meets only its own parity bucket of q.
+    buckets: dict = {}
+    for (eb, bb), cb in q.terms.items():
+        buckets.setdefault(_parity(eb), []).append((eb, bb, cb))
     acc: dict = {}
     for (ea, ba), ca in p.conjugate().terms.items():
-        for (eb, bb), cb in q.terms.items():
+        for eb, bb, cb in buckets.get(_parity(ea), ()):
             integral = monomial_ball_integral(m, tuple(map(add, ea, eb)))
-            if integral.is_zero():
-                continue
             sign, blade = blade_product(ba, bb, m)
             c = ca * cb * integral.q
             _accumulate(acc, blade, c if sign > 0 else -c)

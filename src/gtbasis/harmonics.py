@@ -336,13 +336,32 @@ def gf_harm_series(m: int, order: int, sign=+1,
     return _gf_series(_harm_base(sign), m, order, normalization, HARMONIC)
 
 
-def embedding_f_value(m: int, j: int, k: int, x) -> float:
-    """Float value of F^(k)_{m,j} at a point (first m coordinates of x are used).
+def _f_row(m: int, j: int, k_max: int, x) -> list:
+    """Float values [F^(0)_{m,j}, ..., F^(k_max)_{m,j}] at a point, in one pass.
 
-    Evaluated by the homogenized Gegenbauer recurrence, nu = m/2 + j - 1:
+    The homogenized Gegenbauer recurrence, nu = m/2 + j - 1:
     n*F_n = 2*(n+nu-1)*x_m*F_{n-1} - (n+2*nu-2)*|x|_m^2*F_{n-2},
-    with F_0 = 1 and F_1 = 2*nu*x_m.
+    with F_0 = 1 and F_1 = 2*nu*x_m.  Only the first m coordinates of x are used.
     """
+    nu = m / 2.0 + j - 1.0
+    r2 = sum(float(x[i]) ** 2 for i in range(m))
+    xm = float(x[m - 1])
+    prev, cur = 0.0, 1.0
+    row = [cur]
+    for n in range(1, k_max + 1):
+        prev, cur = cur, (2.0 * (n + nu - 1.0) * xm * cur
+                          - (n + 2.0 * nu - 2.0) * r2 * prev) / n
+        row.append(cur)
+    return row
+
+
+def _f_table(m: int, order: int, x) -> list:
+    """Rows table[j][k] = F^(k)_{m,j}(x) for j + k <= order."""
+    return [_f_row(m, j, order - j, x) for j in range(order + 1)]
+
+
+def embedding_f_value(m: int, j: int, k: int, x) -> float:
+    """Float value of F^(k)_{m,j} at a point (first m coordinates of x are used)."""
     if m < 3:
         raise ValueError("embedding factors need m >= 3")
     if j < 0:
@@ -351,14 +370,7 @@ def embedding_f_value(m: int, j: int, k: int, x) -> float:
         raise ValueError("k must be >= -1")
     if k == -1:
         return 0.0
-    nu = m / 2.0 + j - 1.0
-    r2 = sum(float(x[i]) ** 2 for i in range(m))
-    xm = float(x[m - 1])
-    prev, cur = 0.0, 1.0
-    for n in range(1, k + 1):
-        prev, cur = cur, (2.0 * (n + nu - 1.0) * xm * cur
-                          - (n + 2.0 * nu - 2.0) * r2 * prev) / n
-    return cur
+    return _f_row(m, j, k, x)[k]
 
 
 def _base_powers(base, one, order: int, normalization: str) -> list:
@@ -372,26 +384,57 @@ def _base_powers(base, one, order: int, normalization: str) -> list:
     return values
 
 
-def _partial_sum(m: int, h, order: int, base_values: list, factor, zero):
+def _harm_split(r: int, table: list, j: int, k: int) -> tuple:
+    """The harmonic factor F^(k)_{r,j} as a + b*U_r: b = 0."""
+    return table[j][k], 0.0
+
+
+def _partial_sum(m: int, x, h, order: int, base_values: list, split,
+                 times_u=None) -> list:
     """Sum over |k| <= order of factor_m ... factor_3 * base_values[k_2] * h^k.
 
-    factor(r, j, k_r) is the float value of the dimension-r embedding factor
-    with j = k_2 + ... + k_{r-1}; it multiplies from the left.  Since it
-    depends on the lower indices only through j, the sum is built one
-    dimension at a time by total degree: level[s] is the dimension-r sum over
-    k_2 + ... + k_r = s, and
+    Values are dense coefficient lists: one complex entry for a harmonic
+    value, 2^m blade coefficients for a multivector.  Every embedding factor
+    is split as a + b*U_r, where a and b are scalars and U_r is a fixed
+    element per dimension; split(r, table, j, k_r) returns (a, b) from the
+    dimension-r table of F values (_f_table), and times_u(r, value) is the
+    left product U_r * value.  The harmonic sum has b = 0 and no U_r.
 
-        level_r[s] = sum_{k_r <= s} factor(r, s-k_r, k_r) * level_{r-1}[s-k_r] * h_r^{k_r}.
+    Since a factor depends on the lower indices only through
+    j = k_2 + ... + k_{r-1}, the sum is built one dimension at a time by
+    total degree: level[s] is the dimension-r sum over k_2 + ... + k_r = s,
+    V[j] = U_r * level_{r-1}[j], and
+
+        level_r[s] = sum_{k_r <= s} (a * level_{r-1}[j] + b * V[j]) * h_r^{k_r},  j = s - k_r.
+
+    So each dimension costs one F table and order + 1 products by U_r.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    level = [v * h[0] ** s for s, v in enumerate(base_values)]
+    width = len(base_values[0])
+    level = [[c * h[0] ** s for c in v] for s, v in enumerate(base_values)]
     for r in range(3, m + 1):
+        table = _f_table(r, order, x)
         hpow = [h[r - 2] ** kr for kr in range(order + 1)]
-        level = [sum((factor(r, s - kr, kr) * level[s - kr] * hpow[kr]
-                      for kr in range(s + 1)), zero)
-                 for s in range(order + 1)]
-    return sum(level, zero)
+        products = None if times_u is None else [times_u(r, v) for v in level]
+        nxt = []
+        for s in range(order + 1):
+            acc = [0.0] * width
+            for kr in range(s + 1):
+                j = s - kr
+                a, b = split(r, table, j, kr)
+                hk = hpow[kr]
+                if b:
+                    acc = [t + (a * c + b * u) * hk
+                           for t, c, u in zip(acc, level[j], products[j])]
+                else:
+                    acc = [t + a * c * hk for t, c in zip(acc, level[j])]
+            nxt.append(acc)
+        level = nxt
+    total = [0.0] * width
+    for v in level:
+        total = [t + c for t, c in zip(total, v)]
+    return total
 
 
 def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,
@@ -402,5 +445,4 @@ def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,
     x, h = _check_point(m, x, h, unsafe_domain=True)
     base_values = _base_powers(complex(x[0], sign * x[1]), complex(1.0), order,
                                normalization)
-    return _partial_sum(m, h, order, base_values,
-                        lambda r, j, kr: embedding_f_value(r, j, kr, x), complex(0.0))
+    return _partial_sum(m, x, h, order, [[v] for v in base_values], _harm_split)[0]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .clifford import Multivector
+from .clifford import Multivector, blade_product
 from .errors import SingularityError
 from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base_powers,
                         _basis_product, _check_norm, _check_point, _descend,
@@ -157,16 +157,53 @@ def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:
     return Multivector(top, terms)
 
 
+def _mon_split(r: int, table: list, j: int, k: int) -> tuple:
+    """X^(k)_{r,j} = a + b*U_r with U_r = ux*e_r = sum_{i<r} x_i e_i e_r (see _partial_sum)."""
+    a = (r - 2 + k + 2 * j) / (r - 2 + 2 * j) * table[j][k]
+    b = table[j + 1][k - 1] if k else 0.0
+    return a, b
+
+
+@lru_cache(maxsize=None)
+def _u_blades(m: int, r: int) -> tuple:
+    """For each i < r, the pairs (sign, source) with e_i e_r * e_source = sign * e_target,
+    listed by target blade of R_{0,m}."""
+    er = 1 << (r - 1)
+    out = []
+    for i in range(1, r):
+        u = (1 << (i - 1)) | er
+        out.append(tuple((blade_product(u, t ^ u, m)[0], t ^ u) for t in range(1 << m)))
+    return tuple(out)
+
+
+def _u_product(m: int, x):
+    """times_u(r, v) = U_r * v on dense blade lists, U_r = sum_{i<r} x_i e_i e_r."""
+    columns = {r: [[(x[i] * sign, src) for sign, src in pairs]
+                   for i, pairs in enumerate(_u_blades(m, r))]
+               for r in range(3, m + 1)}
+
+    def times_u(r: int, v: list) -> list:
+        first, *rest = columns[r]
+        out = [c * v[src] for c, src in first]
+        for col in rest:
+            out = [o + c * v[src] for o, (c, src) in zip(out, col)]
+        return out
+    return times_u
+
+
 def gf_mon_partial_sum(m: int, x, h, order: int,
                        normalization: str = FACTORIAL) -> Multivector:
     """Float partial sum of the monogenic generating series over |k| <= order."""
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain=True)
-    base_values = _base_powers(Multivector(m, {0: x[0], E12: -x[1]}),
-                               Multivector.scalar(m, 1.0), order, normalization)
-    return _partial_sum(m, h, order, base_values,
-                        lambda r, j, kr: embedding_x_value(r, m, j, kr, x),
-                        Multivector.zero(m))
+    # x_1 - e_12 x_2 spans a copy of C (e_12^2 = -1), so its powers are complex ones.
+    base_values = []
+    for z in _base_powers(complex(x[0], -x[1]), complex(1.0), order, normalization):
+        dense = [0.0] * (1 << m)
+        dense[0], dense[E12] = z.real, z.imag
+        base_values.append(dense)
+    total = _partial_sum(m, x, h, order, base_values, _mon_split, _u_product(m, x))
+    return Multivector(m, dict(enumerate(total)))
 
 
 __all__ = [

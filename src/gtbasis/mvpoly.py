@@ -246,11 +246,14 @@ class MPoly:
         return MPoly._make(self.dim, self.ring, terms)
 
     def laplacian(self) -> "MPoly":
-        """Sum of second partials over all variables."""
-        out = MPoly.zero(self.dim, self.ring)
-        for j in range(1, self.dim + 1):
-            out = out + self.deriv(j).deriv(j)
-        return out
+        """Sum of second partials over all variables, in one pass over the terms."""
+        acc: dict = {}
+        for (exps, blade), coeff in self.terms.items():
+            for i, e in enumerate(exps):
+                if e > 1:
+                    lowered = exps[:i] + (e - 2,) + exps[i + 1:]
+                    _accumulate(acc, (lowered, blade), coeff * (e * (e - 1)))
+        return MPoly._make(self.dim, self.ring, acc)
 
     def dirac(self) -> "MPoly":
         """Apply e_1 d/dx_1 + ... + e_m d/dx_m, generators acting from the left."""
