@@ -16,8 +16,7 @@ from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, embedding_F,
                         embedding_f_value, enumerate_harm_indices, gf_harm_closed,
                         gf_harm_closed_m3, gf_harm_partial_sum, gf_harm_series,
                         harm_basis, iter_multi_indices, real_basis)
-from .hseries import (HARMONIC, MONOGENIC, HSeries, binomial_expand, exp_series,
-                      lift_step, power_series)
+from .hseries import HSeries, binomial_expand, exp_series, lift_step, power_series
 from .monogenics import (MonIndex, embedding_X, embedding_x_value,
                          enumerate_mon_indices, gf_mon_closed, gf_mon_closed_m3,
                          gf_mon_partial_sum, gf_mon_series, mon_basis)
@@ -28,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisIndex", "CLIFFORD", "DomainBox", "DomainError", "FACTORIAL",
-    "GAUSSIAN", "GaussianRational", "GegenbauerPoly", "HARMONIC", "HSeries",
-    "MONOGENIC", "MPoly", "MonIndex", "Multivector", "PLAIN", "PiScaled",
+    "GAUSSIAN", "GaussianRational", "GegenbauerPoly", "HSeries",
+    "MPoly", "MonIndex", "Multivector", "PLAIN", "PiScaled",
     "SingularityError", "binom_frac", "binomial_expand", "blade_name",
     "blade_product", "embedding_F", "embedding_X", "embedding_f_value",
     "embedding_x_value", "enumerate_harm_indices", "enumerate_mon_indices",

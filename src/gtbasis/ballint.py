@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .clifford import Multivector, blade_product
+from .clifford import E12, Multivector, blade_sign
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _accumulate
-from .scalars import PiScaled
+from .scalars import PiScaled, make_gaussian
 
 __all__ = ["gamma_half", "monomial_ball_integral", "inner_harm", "inner_mon",
            "inner_mon_full", "pi_power"]
@@ -73,10 +73,9 @@ def _parity(exps: tuple) -> tuple:
 def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str) -> dict:
     """Blade -> sum over term pairs of conj(a) * b * (rational part of the ball integral).
 
-    conj is MPoly.conjugate, which means i -> -i in the gaussian ring and
-    Clifford conjugation in the clifford one.  Every nonzero integral in
-    dimension m carries the same sqrt(pi) power, pi_power(m), which the
-    caller attaches.
+    conj is MPoly.conjugate, Clifford conjugation, which is i -> -i on the
+    gaussian ring's e12.  Every nonzero integral in dimension m carries the
+    same sqrt(pi) power, pi_power(m), which the caller attaches.
     """
     if p.ring != ring or q.ring != ring:
         raise ValueError(f"{caller} needs {ring}-ring polynomials")
@@ -92,9 +91,8 @@ def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str) -> dict:
     for (ea, ba), ca in p.conjugate().terms.items():
         for eb, bb, cb in buckets.get(_parity(ea), ()):
             integral = monomial_ball_integral(m, tuple(map(add, ea, eb)))
-            sign, blade = blade_product(ba, bb, m)
             c = ca * cb * integral.q
-            _accumulate(acc, blade, c if sign > 0 else -c)
+            _accumulate(acc, ba ^ bb, c if blade_sign(ba, bb) > 0 else -c)
     return acc
 
 
@@ -105,7 +103,7 @@ def inner_harm(p: MPoly, q: MPoly) -> PiScaled:
     rational multiple of the dimension's pi power.
     """
     acc = _ball_pairing(p, q, GAUSSIAN, "inner_harm")
-    return PiScaled(acc.get(0, 0), pi_power(p.dim))
+    return PiScaled(make_gaussian(acc.get(0, 0), acc.get(E12, 0)), pi_power(p.dim))
 
 
 def inner_mon(p: MPoly, q: MPoly) -> PiScaled:

@@ -15,28 +15,35 @@ from .scalars import GaussianRational, conj_scalar, format_gaussian, make_gaussi
 
 SCALAR_BLADE = 0
 
+#: e_1 e_2, which squares to -1: exact polynomials store a + b*i as a on 1 and b on e12
+E12 = 0b11
+
 
 def _check_mask(mask: int, dim: int) -> None:
     if not 0 <= mask < (1 << dim):
         raise ValueError(f"blade mask {mask:#b} exceeds dimension {dim}")
 
 
-def blade_product(a: int, b: int, dim: int) -> tuple[int, int]:
-    """Product of two canonical blades: returns (sign, mask) with sign in {+1,-1}.
+def blade_sign(a: int, b: int) -> int:
+    """Sign in {+1, -1} of the product of two canonical blades, whose mask is a ^ b.
 
     The sign counts the transpositions needed to merge the ascending
     generator lists, plus one factor -1 for every repeated generator
     (e_j e_j = -1).
     """
-    _check_mask(a, dim)
-    _check_mask(b, dim)
     swaps = 0
     t = a >> 1
     while t:
         swaps += (t & b).bit_count()
         t >>= 1
-    sign = -1 if (swaps + (a & b).bit_count()) & 1 else 1
-    return sign, a ^ b
+    return -1 if (swaps + (a & b).bit_count()) & 1 else 1
+
+
+def blade_product(a: int, b: int, dim: int) -> tuple[int, int]:
+    """Product of two canonical blades of R_{0,dim}: returns (sign, mask)."""
+    _check_mask(a, dim)
+    _check_mask(b, dim)
+    return blade_sign(a, b), a ^ b
 
 
 def conjugation_sign(mask: int) -> int:
@@ -137,9 +144,6 @@ class Multivector:
     def scalar_part(self):
         return self.coeff(SCALAR_BLADE)
 
-    def grades(self) -> set:
-        return {mask.bit_count() for mask in self.terms}
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same(self, other: "Multivector") -> None:
@@ -182,10 +186,10 @@ class Multivector:
         acc: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                sign, mask = blade_product(ma, mb, self.dim)
                 c = ca * cb
-                if sign < 0:
+                if blade_sign(ma, mb) < 0:
                     c = -c
+                mask = ma ^ mb
                 acc[mask] = acc.get(mask, 0) + c
         return Multivector(self.dim, acc)
 
@@ -225,15 +229,6 @@ class Multivector:
         if dim < self.dim:
             raise ValueError("cannot embed into a smaller algebra")
         return Multivector(dim, dict(self.terms))
-
-    def to_float(self) -> "Multivector":
-        terms = {}
-        for mask, coeff in self.terms.items():
-            if isinstance(coeff, GaussianRational):
-                terms[mask] = complex(coeff)
-            else:
-                terms[mask] = float(coeff)
-        return Multivector(self.dim, terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

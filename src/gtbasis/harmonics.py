@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .clifford import E12
 from .errors import DomainError, SingularityError
 from .gegenbauer import gegenbauer_poly
-from .hseries import HARMONIC, HSeries, exp_series, lift_step, power_series
+from .hseries import HSeries, exp_series, lift_step, power_series
 from .mvpoly import GAUSSIAN, MPoly, radius_squared
-from .scalars import make_gaussian
 
 FACTORIAL = "factorial"
 PLAIN = "plain"
@@ -174,9 +174,10 @@ def embedding_F(m: int, j: int, k: int) -> MPoly:
     return out
 
 
-def _harm_base(sign: int) -> MPoly:
-    """The harmonic base polynomial x_1 +/- i*x_2."""
-    return MPoly(2, GAUSSIAN, {(1, 0): 1, (0, 1): make_gaussian(0, sign)})
+def _base2(sign: int, ring: str) -> MPoly:
+    """x_1 + sign*e12*x_2: the harmonic base x_1 +/- i*x_2 (gaussian ring, e12 = i)
+    and, with sign -1, the monogenic base x_1 - e12*x_2 (clifford ring)."""
+    return MPoly._make(2, ring, {((1, 0), 0): Fraction(1), ((0, 1), E12): Fraction(sign)})
 
 
 def _basis_product(idx, base: MPoly, factor) -> MPoly:
@@ -198,7 +199,7 @@ def _basis_product(idx, base: MPoly, factor) -> MPoly:
 
 def harm_basis(idx: BasisIndex) -> MPoly:
     """The spherical harmonic labelled by idx; homogeneous of degree |k| and harmonic."""
-    return _basis_product(idx, _harm_base(idx.sign), embedding_F)
+    return _basis_product(idx, _base2(idx.sign, GAUSSIAN), embedding_F)
 
 
 def real_basis(idx: BasisIndex) -> tuple[MPoly, MPoly]:
@@ -314,8 +315,7 @@ def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
     return d ** -0.5 * (1.0 - complex(x1, -sign * x2) * g) / denom
 
 
-def _gf_series(base: MPoly, m: int, order: int, normalization: str,
-               kind: str) -> HSeries:
+def _gf_series(base: MPoly, m: int, order: int, normalization: str) -> HSeries:
     """exp(base*h_2) or the plain power series, lifted to dimension m."""
     if m < 2:
         raise ValueError("dimension must be at least 2")
@@ -324,7 +324,7 @@ def _gf_series(base: MPoly, m: int, order: int, normalization: str,
     else:
         series = power_series(base, order)
     for _ in range(3, m + 1):
-        series = lift_step(series, kind, order)
+        series = lift_step(series, order)
     return series
 
 
@@ -333,7 +333,7 @@ def gf_harm_series(m: int, order: int, sign=+1,
     """Exact truncated generating series; coefficient at k equals harm_basis(k)."""
     sign = _norm_sign(sign)
     _check_norm(normalization)
-    return _gf_series(_harm_base(sign), m, order, normalization, HARMONIC)
+    return _gf_series(_base2(sign, GAUSSIAN), m, order, normalization)
 
 
 def _f_row(m: int, j: int, k_max: int, x) -> list:

@@ -16,9 +16,6 @@ from fractions import Fraction
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, radius_squared
 from .scalars import binom_frac
 
-HARMONIC = "harmonic"
-MONOGENIC = "monogenic"
-
 
 class HSeries:
     """Immutable truncated series: multi-index (k_2..k_m) -> MPoly in x."""
@@ -241,22 +238,19 @@ def _monogenic_prefactor(m: int, order: int) -> HSeries:
     })
 
 
-def lift_step(series: HSeries, kind: str, order: int) -> HSeries:
+def lift_step(series: HSeries, order: int) -> HSeries:
     """Lift a dimension-(m-1) series to dimension m.
 
     Each coefficient at index k' with s = |k'| is multiplied by the
     single-variable expansion of d_m^(alpha - s), where
-    d_m = 1 - 2*x_m*h_m + h_m^2*|x|_m^2 and alpha is 1 - m/2 for the
-    harmonic lift or -m/2 for the monogenic one.  The monogenic result is
-    then left-multiplied by the two-term series 1 + x*h_m*e_m.
+    d_m = 1 - 2*x_m*h_m + h_m^2*|x|_m^2.  The series' ring picks the lift:
+    a gaussian (harmonic) series has alpha = 1 - m/2; a clifford
+    (monogenic) one has alpha = -m/2, and its result is then
+    left-multiplied by the two-term series 1 + x*h_m*e_m.
     """
-    if kind not in (HARMONIC, MONOGENIC):
-        raise ValueError(f"unknown lift kind {kind!r}")
-    ring = GAUSSIAN if kind == HARMONIC else CLIFFORD
-    if series.ring != ring:
-        raise ValueError(f"{kind} lift needs the {ring} ring")
+    ring = series.ring
     m = series.m + 1
-    alpha = Fraction(2 - m, 2) if kind == HARMONIC else Fraction(-m, 2)
+    alpha = Fraction(2 - m, 2) if ring == GAUSSIAN else Fraction(-m, 2)
     c1 = MPoly.variable(m, m, ring).scale(-2)
     c2 = radius_squared(m, ring=ring)
     upowers = _u_powers(c1, c2, order)
@@ -278,6 +272,6 @@ def lift_step(series: HSeries, kind: str, order: int) -> HSeries:
             else:
                 acc[k] = prod
     out = HSeries(m, order, ring, acc)
-    if kind == MONOGENIC:
+    if ring == CLIFFORD:
         out = _monogenic_prefactor(m, order) * out
     return out

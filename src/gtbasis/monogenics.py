@@ -25,16 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .clifford import Multivector, blade_product
+from .clifford import E12, Multivector, blade_product
 from .errors import SingularityError
-from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base_powers,
+from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base2, _base_powers,
                         _basis_product, _check_norm, _check_point, _descend,
                         _gf_series, _Index, _partial_sum, _plain_denominator,
                         embedding_F, embedding_f_value, iter_multi_indices)
-from .hseries import MONOGENIC, HSeries, _underline_x_em
+from .hseries import HSeries, _underline_x_em
 from .mvpoly import CLIFFORD, MPoly
-
-E12 = 0b11
 
 
 @dataclass(frozen=True)
@@ -60,14 +58,9 @@ def embedding_X(m: int, j: int, k: int) -> MPoly:
     return first + second
 
 
-def _mon_base() -> MPoly:
-    """The monogenic base polynomial x_1 - e_12 x_2."""
-    return MPoly._make(2, CLIFFORD, {((1, 0), 0): Fraction(1), ((0, 1), E12): Fraction(-1)})
-
-
 def mon_basis(idx: MonIndex) -> MPoly:
     """The spherical monogenic labelled by idx, with the factor order of the definition."""
-    return _basis_product(idx, _mon_base(), embedding_X)
+    return _basis_product(idx, _base2(-1, CLIFFORD), embedding_X)
 
 
 def enumerate_mon_indices(m: int, deg_max: int,
@@ -142,7 +135,7 @@ def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
 def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries:
     """Exact truncated generating series; coefficient at k equals mon_basis(k)."""
     _check_norm(normalization)
-    return _gf_series(_mon_base(), m, order, normalization, MONOGENIC)
+    return _gf_series(_base2(-1, CLIFFORD), m, order, normalization)
 
 
 def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:

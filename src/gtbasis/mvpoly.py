@@ -1,12 +1,13 @@
 """Multivariate polynomials in x_1..x_m over exact coefficient rings.
 
-A polynomial is one sparse map (exponents, blade) -> exact scalar (Fraction
-or GaussianRational), the layout of the JSON form.  The blade is a bitmask
-over the generators of R_{0,m}, with the same m as the variables.  Two rings
-share this representation: ``clifford`` polynomials may use every blade,
-``gaussian`` ones only the scalar blade 0.  Variables are real and commute
-with everything; in the Clifford ring only the blades fail to commute, so
-products keep factor order.
+A polynomial is one sparse map (exponents, blade) -> Fraction.  The blade is
+a bitmask over the generators of R_{0,m}, with the same m as the variables.
+Two rings share this representation: ``clifford`` polynomials may use every
+blade, ``gaussian`` ones store a + b*i as a on blade 0 and b on E12 = e_1 e_2
+(e12^2 = -1, and Clifford conjugation of e12 is i -> -i).  GaussianRational
+is only the boundary type of input, ``coeff``, ``eval``, text and JSON.
+Variables are real and commute with everything; in the Clifford ring only
+the blades fail to commute, so products keep factor order.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .clifford import Multivector, blade_product, conjugation_sign
-from .scalars import GaussianRational, conj_scalar, make_gaussian
+from .clifford import E12, Multivector, blade_sign, conjugation_sign
+from .scalars import GaussianRational, make_gaussian
 
 GAUSSIAN = "gaussian"
 CLIFFORD = "clifford"
@@ -39,7 +40,7 @@ def _check_exps(exps, dim: int) -> tuple:
 
 
 def _blades(coeff, dim: int, ring: str):
-    """The (blade, exact scalar) pairs of a caller's coefficient."""
+    """The (blade, Fraction) pairs of a caller's coefficient; a + b*i is a on 0, b on E12."""
     if isinstance(coeff, Multivector):
         if ring != CLIFFORD:
             raise TypeError("Multivector coefficients need the clifford ring")
@@ -47,10 +48,15 @@ def _blades(coeff, dim: int, ring: str):
             raise ValueError(f"coefficient algebra dim {coeff.dim} != {dim}")
         if not coeff.is_exact():
             raise ValueError("polynomial coefficients must be exact")
-        return coeff.terms.items()
+        return [(mask, c) for mask, entry in coeff.terms.items()
+                for _, c in _blades(entry, dim, ring)]
     if not isinstance(coeff, _EXACT):
         raise TypeError("coefficients must be exact scalars or Multivectors")
-    return ((0, Fraction(coeff) if isinstance(coeff, int) else coeff),)
+    if not isinstance(coeff, GaussianRational):
+        return ((0, Fraction(coeff)),)
+    if ring != GAUSSIAN:
+        raise TypeError("clifford-ring coefficients must be rational")
+    return ((0, coeff.re), (E12, coeff.im))
 
 
 def _accumulate(acc: dict, key, coeff) -> None:
@@ -65,15 +71,16 @@ def _fill(poly, dim: int, ring: str, terms: dict):
 
 
 class MPoly:
-    """Immutable sparse polynomial: (exponent tuple, blade) -> exact scalar."""
+    """Immutable sparse polynomial: (exponent tuple, blade) -> Fraction."""
 
     __slots__ = ("dim", "ring", "terms")
 
     def __init__(self, dim: int, ring: str = GAUSSIAN, terms: dict | None = None):
         """Validate a caller's {exponent tuple: coefficient} map.
 
-        A coefficient is an int, Fraction or GaussianRational, or in the
-        clifford ring an exact Multivector of R_{0,dim}.
+        A coefficient is an int, a Fraction, in the gaussian ring a
+        GaussianRational, or in the clifford ring a Multivector of R_{0,dim}
+        with rational entries.
         """
         _check_space(dim, ring)
         acc: dict = {}
@@ -131,11 +138,11 @@ class MPoly:
     def coeff(self, exps):
         """Coefficient of x^exps: a Multivector (clifford) or an exact scalar (gaussian)."""
         exps = tuple(exps)
-        blades = {blade: self.terms[exps, blade] for blade in range(1 << self.dim)
-                  if (exps, blade) in self.terms}
-        if self.ring == CLIFFORD:
-            return Multivector(self.dim, blades)
-        return blades.get(0, Fraction(0))
+        if self.ring == GAUSSIAN:
+            return make_gaussian(self.terms.get((exps, 0), 0), self.terms.get((exps, E12), 0))
+        return Multivector(self.dim, {blade: self.terms[exps, blade]
+                                      for blade in range(1 << self.dim)
+                                      if (exps, blade) in self.terms})
 
     def _require_same(self, other: "MPoly") -> None:
         if self.dim != other.dim or self.ring != other.ring:
@@ -145,9 +152,19 @@ class MPoly:
         if self.ring != ring:
             raise ValueError(f"{what} needs the {ring} ring")
 
-    def _sorted_terms(self) -> list:
-        """Terms by total degree, then exponents, then blade."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0]))
+    def _monomials(self) -> list:
+        """(exps, {blade: exact scalar}) by total degree, then exponents, then blade.
+
+        Gaussian blades 0 and E12 come back as one scalar on blade 0.
+        """
+        by_monomial: dict = {}
+        for (exps, blade), c in sorted(self.terms.items(),
+                                       key=lambda kv: (sum(kv[0][0]), kv[0])):
+            by_monomial.setdefault(exps, {})[blade] = c
+        if self.ring == CLIFFORD:
+            return list(by_monomial.items())
+        return [(exps, {0: make_gaussian(b.get(0, 0), b.get(E12, 0))})
+                for exps, b in by_monomial.items()]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -190,9 +207,9 @@ class MPoly:
         acc: dict = {}
         for (ea, ba), ca in self.terms.items():
             for (eb, bb), cb in other.terms.items():
-                sign, blade = blade_product(ba, bb, dim)
                 c = ca * cb
-                _accumulate(acc, (tuple(map(add, ea, eb)), blade), c if sign > 0 else -c)
+                _accumulate(acc, (tuple(map(add, ea, eb)), ba ^ bb),
+                            c if blade_sign(ba, bb) > 0 else -c)
         return MPoly._make(dim, self.ring, acc)
 
     def __rmul__(self, other):
@@ -204,7 +221,9 @@ class MPoly:
         return NotImplemented
 
     def scale(self, factor):
-        if not isinstance(factor, _EXACT):
+        if isinstance(factor, GaussianRational):
+            return self * MPoly.constant(self.dim, factor, self.ring)
+        if not isinstance(factor, (int, Fraction)):
             raise TypeError("scale factor must be an exact scalar")
         return MPoly._make(self.dim, self.ring,
                            {key: factor * c for key, c in self.terms.items()})
@@ -271,7 +290,7 @@ class MPoly:
         """Evaluate at a point; exact for int/Fraction coordinates, float otherwise.
 
         The value is a Multivector in the clifford ring and a scalar in the
-        gaussian one.
+        gaussian one (a float point gives a complex only if an i term exists).
         """
         point = list(point)
         if len(point) != self.dim:
@@ -296,12 +315,13 @@ class MPoly:
             for i, e in enumerate(exps):
                 if e:
                     mono *= power(i, e)
-            if not exact:
-                coeff = complex(coeff) if isinstance(coeff, GaussianRational) else float(coeff)
-            acc[blade] = acc.get(blade, zero) + coeff * mono
+            acc[blade] = acc.get(blade, zero) + (coeff if exact else float(coeff)) * mono
         if self.ring == CLIFFORD:
             return Multivector(self.dim, acc)
-        return acc.get(0, zero)
+        re, im = acc.get(0, zero), acc.get(E12)
+        if exact:
+            return make_gaussian(re, im or 0)
+        return re if im is None else complex(re, im)
 
     # -- ring/shape conversions --------------------------------------------
 
@@ -317,29 +337,25 @@ class MPoly:
 
     def to_clifford(self) -> "MPoly":
         """The same real polynomial in the clifford ring."""
-        if any(isinstance(c, GaussianRational) for c in self.terms.values()):
+        if self.ring == GAUSSIAN and any(blade for _, blade in self.terms):
             raise ValueError("cannot move genuinely complex coefficients to R_{0,m}")
         return MPoly._make(self.dim, CLIFFORD, self.terms)
 
     def conjugate(self) -> "MPoly":
-        """Coefficient conjugation: i -> -i (gaussian) or Clifford conjugation (clifford)."""
-        if self.ring == CLIFFORD:
-            terms = {(exps, blade): -c if conjugation_sign(blade) < 0 else c
-                     for (exps, blade), c in self.terms.items()}
-        else:
-            terms = {key: conj_scalar(c) for key, c in self.terms.items()}
-        return MPoly._make(self.dim, self.ring, terms)
+        """Clifford conjugation of the coefficients, which is i -> -i on the gaussian ring's e12."""
+        return MPoly._make(self.dim, self.ring, {
+            (exps, blade): -c if conjugation_sign(blade) < 0 else c
+            for (exps, blade), c in self.terms.items()})
 
     def real_part(self) -> "MPoly":
         self._require_ring(GAUSSIAN, "real_part")
         return MPoly._make(self.dim, GAUSSIAN, {
-            key: c.re if isinstance(c, GaussianRational) else c
-            for key, c in self.terms.items()})
+            (exps, blade): c for (exps, blade), c in self.terms.items() if not blade})
 
     def imag_part(self) -> "MPoly":
         self._require_ring(GAUSSIAN, "imag_part")
         return MPoly._make(self.dim, GAUSSIAN, {
-            key: c.im for key, c in self.terms.items() if isinstance(c, GaussianRational)})
+            (exps, 0): c for (exps, blade), c in self.terms.items() if blade})
 
     # -- rendering / serialization ------------------------------------------
 
@@ -353,11 +369,8 @@ class MPoly:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        by_monomial: dict = {}
-        for (exps, blade), coeff in self._sorted_terms():
-            by_monomial.setdefault(exps, {})[blade] = coeff
         parts = []
-        for exps, blades in by_monomial.items():
+        for exps, blades in self._monomials():
             mono = "*".join(
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                 for i, e in enumerate(exps) if e
@@ -379,16 +392,17 @@ class MPoly:
     def to_json(self) -> dict:
         """{"m", "ring", "terms"}: one entry per term; clifford entries name their blade."""
         entries = []
-        for (exps, blade), coeff in self._sorted_terms():
-            re, im = (coeff.re, coeff.im) if isinstance(coeff, GaussianRational) \
-                else (coeff, Fraction(0))
-            entry = {"exp": list(exps)}
-            if self.ring == CLIFFORD:
-                entry["blade"] = blade
-            entry.update(num=re.numerator, den=re.denominator)
-            if im:
-                entry.update(inum=im.numerator, iden=im.denominator)
-            entries.append(entry)
+        for exps, blades in self._monomials():
+            for blade, coeff in blades.items():
+                re, im = (coeff.re, coeff.im) if isinstance(coeff, GaussianRational) \
+                    else (coeff, Fraction(0))
+                entry = {"exp": list(exps)}
+                if self.ring == CLIFFORD:
+                    entry["blade"] = blade
+                entry.update(num=re.numerator, den=re.denominator)
+                if im:
+                    entry.update(inum=im.numerator, iden=im.denominator)
+                entries.append(entry)
         return {"m": self.dim, "ring": self.ring, "terms": entries}
 
     @classmethod
@@ -401,9 +415,11 @@ class MPoly:
             blade = entry.get("blade", 0)
             if not 0 <= blade < (1 << dim) or (blade and ring != CLIFFORD):
                 raise ValueError(f"bad blade {blade} for the {ring} ring in dim {dim}")
+            exps = _check_exps(entry["exp"], dim)
             coeff = make_gaussian(Fraction(entry["num"], entry["den"]),
                                   Fraction(entry.get("inum", 0), entry.get("iden", 1)))
-            _accumulate(acc, (_check_exps(entry["exp"], dim), blade), coeff)
+            for part, c in _blades(coeff, dim, ring):  # blade or part is 0
+                _accumulate(acc, (exps, blade | part), c)
         return cls._make(dim, ring, acc)
 
 

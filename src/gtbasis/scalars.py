@@ -3,7 +3,9 @@
 All exact arithmetic in the package bottoms out in ``fractions.Fraction``.
 Real rational values are stored as plain ``Fraction``; a ``GaussianRational``
 is only ever created when the imaginary part is nonzero, so equality and
-serialization have a single canonical form.
+serialization have a single canonical form.  Exact polynomials hold
+Fractions only (i is the blade e12 there); a ``GaussianRational`` is what
+they accept and return at their boundary.
 """
 
 from __future__ import annotations
@@ -11,11 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-Rational = Fraction
-
-#: scalars accepted by exact containers (ints are coerced to Fraction)
-ExactScalar = "Fraction | GaussianRational"
 
 
 def _as_pair(value):

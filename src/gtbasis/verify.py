@@ -19,12 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from .gegenbauer import gegenbauer_poly, gf_value, series_oracle
-from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _harm_base, embedding_F,
+from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _base2, embedding_F,
                         enumerate_harm_indices, gf_harm_closed, gf_harm_closed_m3,
                         gf_harm_partial_sum, gf_harm_series, harm_basis,
                         iter_multi_indices)
 from .hseries import HSeries, _monogenic_prefactor, binomial_expand, power_series
-from .monogenics import (MonIndex, _mon_base, embedding_X, enumerate_mon_indices,
+from .monogenics import (MonIndex, embedding_X, enumerate_mon_indices,
                          gf_mon_closed, gf_mon_closed_m3, gf_mon_partial_sum,
                          gf_mon_series, mon_basis)
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, radius_squared
@@ -431,10 +431,10 @@ def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
         for sign in (+1, -1):
             checks.append(Check("lemmas.plain_base_geometric",
                                 {"kind": "harm", "sign": sign, "order": 12},
-                                _check_plain_base_geometric(_harm_base(sign))))
+                                _check_plain_base_geometric(_base2(sign, GAUSSIAN))))
         checks.append(Check("lemmas.plain_base_geometric",
                             {"kind": "mon", "order": 12},
-                            _check_plain_base_geometric(_mon_base())))
+                            _check_plain_base_geometric(_base2(-1, CLIFFORD))))
 
     return checks
 
