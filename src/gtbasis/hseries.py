@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, radius_squared
+from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _check_space, radius_squared
 from .scalars import binom_frac
 
 
@@ -27,6 +27,7 @@ class HSeries:
             raise ValueError("series dimension must be at least 2")
         if order < 0:
             raise ValueError("order must be non-negative")
+        _check_space(m, ring)
         clean = {}
         for k, poly in (terms or {}).items():
             k = tuple(int(v) for v in k)
@@ -128,14 +129,17 @@ class HSeries:
     def to_json(self) -> dict:
         entries = [{"k": list(k), "poly": self.terms[k].to_json()}
                    for k in sorted(self.terms)]
-        return {"m": self.m, "order": self.order, "terms": entries}
+        out = {"m": self.m, "order": self.order, "terms": entries}
+        if not entries:  # otherwise every coefficient polynomial names the ring
+            out["ring"] = self.ring
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "HSeries":
         terms = {tuple(entry["k"]): MPoly.from_json(entry["poly"])
                  for entry in data["terms"]}
-        ring = next(iter(terms.values())).ring if terms else GAUSSIAN
-        return cls(data["m"], data["order"], ring, terms)
+        default = next(iter(terms.values())).ring if terms else GAUSSIAN
+        return cls(data["m"], data["order"], data.get("ring", default), terms)
 
 
 def _u_powers(c1: MPoly, c2: MPoly, order: int) -> list[dict]:

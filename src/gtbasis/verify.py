@@ -3,7 +3,10 @@
 Each check is a pure function returning pass/fail plus a first-counterexample
 witness.  Checks draw their randomness from a splittable seed sequence keyed
 by (seed, check name, parameters), so the report content is identical for a
-given seed regardless of execution order or thread count.
+given seed regardless of execution order or thread count.  The streams are
+numpy's ``Generator(PCG64(SeedSequence(...)))`` reproduced in pure Python
+(``_pcg``), so reports are the ones numpy's generator gave and the package
+needs no numpy at run time.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from ._pcg import PCG64
 from .gegenbauer import gegenbauer_poly, gf_value, series_oracle
 from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _base2, embedding_F,
                         enumerate_harm_indices, gf_harm_closed, gf_harm_closed_m3,
@@ -74,11 +76,11 @@ class Check:
         return CheckResult(self.name, self.params, "pass" if ok else "fail", witness)
 
 
-def _check_rng(seed: int, name: str, params: dict) -> np.random.Generator:
+def _check_rng(seed: int, name: str, params: dict) -> PCG64:
     key = json.dumps([name, params], sort_keys=True).encode()
     digest = hashlib.sha256(key).digest()
     words = [int.from_bytes(digest[i:i + 8], "big") for i in range(0, 32, 8)]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed] + words)))
+    return PCG64([seed] + words)
 
 
 # -- random data -------------------------------------------------------------
@@ -87,21 +89,21 @@ def _check_rng(seed: int, name: str, params: dict) -> np.random.Generator:
 def _random_ball_point(rng, m: int) -> list:
     while True:
         x = rng.uniform(-1.0, 1.0, size=m)
-        if float(x @ x) <= 1.0:
-            return [float(v) for v in x]
+        if sum(v * v for v in x) <= 1.0:
+            return x
 
 
 def _random_h(rng, m: int, h2_bound: float) -> list:
     box = DomainBox(m)
-    h = [float(rng.uniform(-h2_bound, h2_bound))]
+    h = [rng.uniform(-h2_bound, h2_bound)]
     for r in range(3, m + 1):
         b = float(box.bound(r)) / 2.0
-        h.append(float(rng.uniform(-b, b)))
+        h.append(rng.uniform(-b, b))
     return h
 
 
 def _random_fraction(rng) -> Fraction:
-    return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+    return Fraction(rng.integers(-9, 10), rng.integers(1, 10))
 
 
 def _random_clifford_poly(rng, m: int, deg: int, nterms: int = 6) -> MPoly:
@@ -110,10 +112,10 @@ def _random_clifford_poly(rng, m: int, deg: int, nterms: int = 6) -> MPoly:
         exps = []
         left = deg
         for _ in range(m):
-            e = int(rng.integers(0, left + 1))
+            e = rng.integers(0, left + 1)
             exps.append(e)
             left -= e
-        key = (tuple(exps), int(rng.integers(0, 1 << m)))
+        key = (tuple(exps), rng.integers(0, 1 << m))
         terms[key] = terms.get(key, 0) + _random_fraction(rng)
     return MPoly._make(m, CLIFFORD, terms)
 
@@ -190,8 +192,8 @@ def _check_kernel(fam: _Family, m: int, deg: int, norm: str):
 def _check_factorization(m_max: int, count: int):
     def run(rng):
         for i in range(count):
-            m = int(rng.integers(2, m_max + 1))
-            deg = int(rng.integers(0, 6))
+            m = rng.integers(2, m_max + 1)
+            deg = rng.integers(0, 6)
             poly = _random_clifford_poly(rng, m, deg)
             if -poly.dirac().dirac() != poly.laplacian():
                 return False, f"sample {i}: -dirac^2 != laplacian (m={m}, deg={deg})"
@@ -453,7 +455,8 @@ def run_verify(suites=("all",), m_max: int = 4, deg_max: int = 4, order: int = 3
     selected = list(SUITES) if "all" in suites else [s for s in SUITES if s in suites]
     unknown = set(suites) - set(SUITES) - {"all"}
     if unknown:
-        raise ValueError(f"unknown suites: {sorted(unknown)}")
+        raise ValueError(f"unknown suites: {sorted(unknown)} "
+                         f"(choose from all, {', '.join(SUITES)})")
     for name, value, low in (("m_max", m_max, 2), ("deg_max", deg_max, 0),
                              ("order", order, 0)):
         if value < low:

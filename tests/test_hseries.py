@@ -153,3 +153,22 @@ def test_ring_mismatch_rejected():
 def test_json_round_trip():
     s = lift_step(HSeries.one(2, 3, CLIFFORD), 3)
     assert HSeries.from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize("ring", [GAUSSIAN, CLIFFORD])
+def test_json_round_trip_keeps_ring(ring):
+    empty = HSeries(3, 2, ring)
+    data = empty.to_json()
+    assert data["ring"] == ring
+    assert HSeries.from_json(data).ring == ring
+    assert HSeries.from_json(data) == empty
+    full = lift_step(HSeries.one(2, 2, ring), 2)
+    data = full.to_json()
+    assert "ring" not in data  # non-empty series JSON is unchanged
+    assert HSeries.from_json(data).ring == ring
+    assert HSeries.from_json(data) == full
+
+
+def test_json_unknown_ring_rejected():
+    with pytest.raises(ValueError, match="unknown ring"):
+        HSeries.from_json({"m": 3, "order": 2, "terms": [], "ring": "quaternion"})

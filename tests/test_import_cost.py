@@ -1,4 +1,4 @@
-"""`import gtbasis` stays free of numpy; only the verify module needs it."""
+"""`import gtbasis` stays free of numpy, which the runtime does not use at all."""
 
 import os
 import subprocess
