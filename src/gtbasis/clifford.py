@@ -59,14 +59,13 @@ def blade_name(mask: int) -> str:
     return "e" + "".join(str(j + 1) for j in range(mask.bit_length()) if mask >> j & 1)
 
 
+_EXACT = (int, Fraction, GaussianRational)
+_FLOAT = (float, complex)
+_SCALARS = _EXACT + _FLOAT
+
+
 def _is_exact(c) -> bool:
-    return isinstance(c, (int, Fraction, GaussianRational))
-
-
-def _coerce(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    return c
+    return isinstance(c, _EXACT)
 
 
 class Multivector:
@@ -79,16 +78,23 @@ class Multivector:
             raise ValueError("dimension must be non-negative")
         clean = {}
         exact = None
+        size = 1 << dim
         for mask, coeff in (terms or {}).items():
-            _check_mask(mask, dim)
-            this_exact = _is_exact(coeff)
-            if not this_exact and not isinstance(coeff, (float, complex)):
+            if not 0 <= mask < size:
+                _check_mask(mask, dim)
+            # float first: the exact test runs Fraction's ABC isinstance hook
+            if isinstance(coeff, _FLOAT):
+                this_exact = False
+            elif isinstance(coeff, _EXACT):
+                this_exact = True
+                if isinstance(coeff, int):
+                    coeff = Fraction(coeff)
+            else:
                 raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
             if exact is None:
                 exact = this_exact
             elif exact != this_exact:
                 raise ValueError("exact and float coefficients mixed in one multivector")
-            coeff = _coerce(coeff)
             if coeff == 0:
                 continue
             clean[mask] = coeff
@@ -152,7 +158,7 @@ class Multivector:
 
     def __add__(self, other):
         if not isinstance(other, Multivector):
-            if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
+            if isinstance(other, _SCALARS):
                 other = Multivector.scalar(self.dim, other)
             else:
                 return NotImplemented
@@ -168,19 +174,20 @@ class Multivector:
         return Multivector(self.dim, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
-            other = Multivector.scalar(self.dim, other)
         if not isinstance(other, Multivector):
-            return NotImplemented
+            if isinstance(other, _SCALARS):
+                other = Multivector.scalar(self.dim, other)
+            else:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
-            return self.scale(other)
         if not isinstance(other, Multivector):
+            if isinstance(other, _SCALARS):
+                return self.scale(other)
             return NotImplemented
         self._require_same(other)
         acc: dict = {}
@@ -194,7 +201,7 @@ class Multivector:
         return Multivector(self.dim, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
 
@@ -231,10 +238,11 @@ class Multivector:
         return Multivector(dim, dict(self.terms))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Multivector.scalar(self.dim, other)
         if not isinstance(other, Multivector):
-            return NotImplemented
+            if isinstance(other, _EXACT):
+                other = Multivector.scalar(self.dim, other)
+            else:
+                return NotImplemented
         return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):

@@ -137,10 +137,24 @@ class DomainBox:
         h = list(h)
         if len(h) != self.m - 1:
             raise ValueError(f"h needs {self.m - 1} entries for dimension {self.m}")
-        for r in range(3, self.m + 1):
-            if abs(h[r - 2]) > self.bound(r):
-                return False
-        return True
+        return _in_box(self.m, h)
+
+
+@lru_cache(maxsize=None)
+def _box_bounds(m: int) -> tuple:
+    """DomainBox(m).bound(r) for r = 3..m as floats: the box _in_box tests.
+
+    Each bound is a power of two, so its float is exact and a float comparison
+    with it decides as the Fraction one; a bound below the smallest subnormal
+    float stays a Fraction.
+    """
+    exact = DomainBox(m).bounds()[1:]
+    return tuple(float(b) if float(b) == b else b for b in exact)
+
+
+def _in_box(m: int, h) -> bool:
+    """|h_r| <= (1/2) * 4^(r-m) for r = 3..m; a NaN entry is outside."""
+    return all(abs(v) <= bound for v, bound in zip(h[1:], _box_bounds(m)))
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +251,7 @@ def _check_point(m: int, x, h, unsafe_domain: bool):
     if not unsafe_domain:
         if sum(v * v for v in x) > 1.0 + 1e-12:
             raise DomainError("point lies outside the closed unit ball")
-        if not DomainBox(m).contains(h):
+        if not _in_box(m, h):
             raise DomainError("h lies outside the certified convergence box")
     return x, h
 
@@ -247,12 +261,15 @@ def _descend(x, h):
 
     Returns the levels [(r, d_r, h_r)] for r = m..3, where h_r is the already
     rescaled h entry and d_r = 1 - 2*x_r*h_r + h_r^2*|x|_r^2 > 0, and the final
-    rescaled h_2.  Each level divides the remaining h entries by d_r.
+    rescaled h_2.  Each level divides the remaining h entries by d_r.  A kernel
+    that is not finite (|x|^2 or h_r^2 overflowed) is a FLOAT_OVERFLOW ValueError.
     """
     levels = []
     for r in range(len(x), 2, -1):
         r2 = sum(v * v for v in x[:r])
         d = 1.0 - 2.0 * x[r - 1] * h[r - 2] + h[r - 2] * h[r - 2] * r2
+        if not math.isfinite(d):
+            raise ValueError(FLOAT_OVERFLOW)
         if d <= 0.0:
             raise SingularityError(f"kernel d_{r} = {d} is not positive")
         levels.append((r, d, h[r - 2]))
@@ -263,6 +280,8 @@ def _descend(x, h):
 def _plain_denominator(x1: float, x2: float, h2: float) -> float:
     """1 - 2*x_1*h_2 + h_2^2*(x_1^2 + x_2^2), the plain base's denominator."""
     denom = 1.0 - 2.0 * x1 * h2 + h2 * h2 * (x1 * x1 + x2 * x2)
+    if not math.isfinite(denom):
+        raise ValueError(FLOAT_OVERFLOW)
     if denom <= 0.0:
         raise SingularityError("plain base denominator vanished")
     return denom
@@ -287,9 +306,12 @@ def gf_harm_closed(m: int, x, h, sign=+1, normalization: str = FACTORIAL,
         value = complex(1.0)
         for r, d, _ in levels:
             value *= d ** (1.0 - r / 2.0)
-        return value * _base2_value(x[0], x[1], h2, sign, normalization)
+        value *= _base2_value(x[0], x[1], h2, sign, normalization)
     except OverflowError as exc:
         raise ValueError(FLOAT_OVERFLOW) from exc
+    if not cmath.isfinite(value):
+        raise ValueError(FLOAT_OVERFLOW)
+    return value
 
 
 def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
@@ -301,18 +323,26 @@ def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
     x1, x2, x3 = x
     h2, h3 = h
     d = 1.0 - 2.0 * x3 * h3 + h3 * h3 * (x1 * x1 + x2 * x2 + x3 * x3)
+    if not math.isfinite(d):
+        raise ValueError(FLOAT_OVERFLOW)
     if d <= 0.0:
         raise SingularityError(f"kernel d_3 = {d} is not positive")
     if normalization == FACTORIAL:
         try:
-            return d ** -0.5 * cmath.exp(complex(x1, sign * x2) * h2 / d)
+            value = d ** -0.5 * cmath.exp(complex(x1, sign * x2) * h2 / d)
         except OverflowError as exc:
             raise ValueError(FLOAT_OVERFLOW) from exc
-    g = h2 / d
-    denom = 1.0 - 2.0 * x1 * g + g * g * (x1 * x1 + x2 * x2)
-    if denom <= 0.0:
-        raise SingularityError("plain base denominator vanished")
-    return d ** -0.5 * (1.0 - complex(x1, -sign * x2) * g) / denom
+    else:
+        g = h2 / d
+        denom = 1.0 - 2.0 * x1 * g + g * g * (x1 * x1 + x2 * x2)
+        if not math.isfinite(denom):
+            raise ValueError(FLOAT_OVERFLOW)
+        if denom <= 0.0:
+            raise SingularityError("plain base denominator vanished")
+        value = d ** -0.5 * (1.0 - complex(x1, -sign * x2) * g) / denom
+    if not cmath.isfinite(value):
+        raise ValueError(FLOAT_OVERFLOW)
+    return value
 
 
 def _gf_series(base: MPoly, m: int, order: int, normalization: str) -> HSeries:

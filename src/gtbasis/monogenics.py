@@ -73,30 +73,50 @@ def enumerate_mon_indices(m: int, deg_max: int,
 # -- float evaluation ------------------------------------------------------
 
 
-def _base2_mon_value(m: int, x1: float, x2: float, h2: float,
-                     normalization: str) -> Multivector:
-    """exp((x_1 - e_12 x_2) h_2) = e^{x_1 h_2}(cos(x_2 h_2) - e_12 sin(x_2 h_2)),
-    or the plain rational base, as a float multivector in R_{0,m}."""
+def _base2_mon_value(x1: float, x2: float, h2: float, normalization: str) -> tuple:
+    """The scalar and e_12 coefficients of exp((x_1 - e_12 x_2) h_2)
+    = e^{x_1 h_2}(cos(x_2 h_2) - e_12 sin(x_2 h_2)), or of the plain rational base."""
     if normalization == FACTORIAL:
         r = math.exp(x1 * h2)
-        return Multivector(m, {0: r * math.cos(x2 * h2),
-                               E12: -r * math.sin(x2 * h2)})
+        return r * math.cos(x2 * h2), -r * math.sin(x2 * h2)
     denom = _plain_denominator(x1, x2, h2)
-    return Multivector(m, {0: (1.0 - x1 * h2) / denom, E12: -x2 * h2 / denom})
+    return (1.0 - x1 * h2) / denom, -x2 * h2 / denom
 
 
-def _prefactor_value(m: int, r: int, x, hr: float) -> Multivector:
-    """1 + x h_r e_r evaluated in R_{0,m} (x restricted to its first r coordinates)."""
-    terms = {0: 1.0 - x[r - 1] * hr}
-    er = 1 << (r - 1)
-    for j in range(1, r):
-        terms[(1 << (j - 1)) | er] = x[j - 1] * hr
-    return Multivector(m, terms)
+@lru_cache(maxsize=None)
+def _prefactor_blades(r: int) -> tuple:
+    """_u_blades(r, r) on the blades of R_{0,r} that hold e_r: for each i < r, the
+    (sign, source) pairs with e_i e_r * e_source = sign * e_target, target = t + e_r
+    for t < 2^(r-1)."""
+    half = 1 << (r - 1)
+    return tuple(pairs[half:] for pairs in _u_blades(r, r))
+
+
+def _prefactor_times(r: int, x, hr: float, v: list) -> list:
+    """(1 + x h_r e_r) * v on dense blade lists: v lies in R_{0,r-1}, the result in R_{0,r}.
+
+    1 + x h_r e_r = (1 - x_r h_r) + sum_{i<r} (x_i h_r) e_i e_r, and every e_i e_r
+    holds e_r while no blade of v does: the blades without e_r are (1 - x_r h_r)*v,
+    and those with e_r sum the e_i e_r terms in ascending i, as the sparse
+    Multivector product of the two does.
+    """
+    a = 1.0 - x[r - 1] * hr
+    first, *rest = _prefactor_blades(r)
+    c = x[0] * hr
+    upper = [c * sign * v[src] for sign, src in first]
+    for i, pairs in enumerate(rest, 1):
+        c = x[i] * hr
+        upper = [u + c * sign * v[src] for u, (sign, src) in zip(upper, pairs)]
+    return [a * t for t in v] + upper
 
 
 def gf_mon_closed(m: int, x, h, normalization: str = FACTORIAL,
                   unsafe_domain: bool = False) -> Multivector:
-    """Closed-form value of the monogenic generating function (float multivector)."""
+    """Closed-form value of the monogenic generating function (float multivector).
+
+    The value stays a dense blade list, one prefactor at a time from r = 3 up,
+    and becomes one Multivector at the end.
+    """
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain)
     levels, h2 = _descend(x, h)
@@ -104,12 +124,15 @@ def gf_mon_closed(m: int, x, h, normalization: str = FACTORIAL,
         scale = 1.0
         for r, d, _ in levels:
             scale *= d ** (-r / 2.0)
-        value = _base2_mon_value(m, x[0], x[1], h2, normalization).scale(scale)
-        for r, _, hr in reversed(levels):
-            value = _prefactor_value(m, r, x, hr) * value
-        return value
+        b0, b12 = _base2_mon_value(x[0], x[1], h2, normalization)
     except OverflowError as exc:
         raise ValueError(FLOAT_OVERFLOW) from exc
+    value = [scale * b0, 0.0, 0.0, scale * b12]
+    for r, _, hr in reversed(levels):
+        value = _prefactor_times(r, x, hr, value)
+    if not all(map(math.isfinite, value)):
+        raise ValueError(FLOAT_OVERFLOW)
+    return Multivector(m, dict(enumerate(value)))
 
 
 def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
@@ -120,16 +143,21 @@ def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
     x1, x2, x3 = x
     h2, h3 = h
     d = 1.0 - 2.0 * x3 * h3 + h3 * h3 * (x1 * x1 + x2 * x2 + x3 * x3)
+    if not math.isfinite(d):
+        raise ValueError(FLOAT_OVERFLOW)
     if d <= 0.0:
         raise SingularityError(f"kernel d_3 = {d} is not positive")
     prefactor = Multivector(3, {0: 1.0 - x3 * h3,
                                 0b101: x1 * h3,
                                 0b110: x2 * h3})
     try:
-        base = _base2_mon_value(3, x1, x2, h2 / d, normalization)
-        return prefactor * base.scale(d ** -1.5)
+        b0, b12 = _base2_mon_value(x1, x2, h2 / d, normalization)
+        value = prefactor * Multivector(3, {0: b0, E12: b12}).scale(d ** -1.5)
     except OverflowError as exc:
         raise ValueError(FLOAT_OVERFLOW) from exc
+    if not all(map(math.isfinite, value.terms.values())):
+        raise ValueError(FLOAT_OVERFLOW)
+    return value
 
 
 def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries:
