@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import add
 
 from .clifford import E12, Multivector, blade_sign
-from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _accumulate
+from .mvpoly import CLIFFORD, GAUSSIAN, MPoly
 from .scalars import PiScaled, make_gaussian
 
 __all__ = ["gamma_half", "monomial_ball_integral", "inner_harm", "inner_mon",
@@ -66,6 +66,7 @@ def monomial_ball_integral(m: int, alpha) -> PiScaled:
     return _ball_integral_cached(m, alpha)
 
 
+@lru_cache(maxsize=1 << 16)
 def _parity(exps: tuple) -> tuple:
     return tuple(e & 1 for e in exps)
 
@@ -75,7 +76,10 @@ def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str) -> dict:
 
     conj is MPoly.conjugate, Clifford conjugation, which is i -> -i on the
     gaussian ring's e12.  Every nonzero integral in dimension m carries the
-    same sqrt(pi) power, pi_power(m), which the caller attaches.
+    same sqrt(pi) power, pi_power(m), which the caller attaches.  The integer
+    weights conj(na) * nb * sign are summed per (blade, exponent vector)
+    first, so each distinct exponent vector is integrated once and the
+    denominators are divided out once at the end.
     """
     if p.ring != ring or q.ring != ring:
         raise ValueError(f"{caller} needs {ring}-ring polynomials")
@@ -85,15 +89,24 @@ def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str) -> dict:
     # A pair integrates to zero unless its exponents have the same parity in
     # every variable, so each p term meets only its own parity bucket of q.
     buckets: dict = {}
-    for (eb, bb), cb in q.terms.items():
-        buckets.setdefault(_parity(eb), []).append((eb, bb, cb))
+    for (eb, bb), nb in q.num.items():
+        buckets.setdefault(_parity(eb), []).append((eb, bb, nb))
+    weights: dict = {}
+    get = weights.get
+    for (ea, ba), na in p.conjugate().num.items():
+        for eb, bb, nb in buckets.get(_parity(ea), ()):
+            key = (ba ^ bb, tuple(map(add, ea, eb)))
+            weights[key] = get(key, 0) + (na * nb if blade_sign(ba, bb) > 0 else -na * nb)
+    integrals: dict = {}
     acc: dict = {}
-    for (ea, ba), ca in p.conjugate().terms.items():
-        for eb, bb, cb in buckets.get(_parity(ea), ()):
-            integral = monomial_ball_integral(m, tuple(map(add, ea, eb)))
-            c = ca * cb * integral.q
-            _accumulate(acc, ba ^ bb, c if blade_sign(ba, bb) > 0 else -c)
-    return acc
+    for (blade, alpha), w in weights.items():
+        if not w:
+            continue
+        if alpha not in integrals:
+            integrals[alpha] = monomial_ball_integral(m, alpha).q
+        acc[blade] = acc.get(blade, 0) + w * integrals[alpha]
+    den = p.den * q.den
+    return {blade: c / den for blade, c in acc.items()}
 
 
 def inner_harm(p: MPoly, q: MPoly) -> PiScaled:

@@ -10,6 +10,7 @@ inside one value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import GaussianRational, conj_scalar, format_gaussian, make_gaussian
 
@@ -24,6 +25,7 @@ def _check_mask(mask: int, dim: int) -> None:
         raise ValueError(f"blade mask {mask:#b} exceeds dimension {dim}")
 
 
+@lru_cache(maxsize=1 << 16)
 def blade_sign(a: int, b: int) -> int:
     """Sign in {+1, -1} of the product of two canonical blades, whose mask is a ^ b.
 

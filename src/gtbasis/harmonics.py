@@ -287,11 +287,24 @@ def _plain_denominator(x1: float, x2: float, h2: float) -> float:
     return denom
 
 
+def _exp(w: complex) -> complex:
+    """cmath.exp(w), whose phase w.imag must be finite unless |exp(w)| underflows to 0.
+
+    An infinite phase with a nonzero magnitude has no value: that is a
+    FLOAT_OVERFLOW ValueError (cmath raises "math domain error" there).
+    """
+    if not math.isfinite(w.imag):
+        if math.exp(w.real) != 0.0:
+            raise ValueError(FLOAT_OVERFLOW)
+        return 0j
+    return cmath.exp(w)
+
+
 def _base2_value(x1: float, x2: float, h2: float, sign: int,
                  normalization: str) -> complex:
     z = complex(x1, sign * x2)
     if normalization == FACTORIAL:
-        return cmath.exp(z * h2)
+        return _exp(z * h2)
     return (1.0 - z.conjugate() * h2) / _plain_denominator(x1, x2, h2)
 
 
@@ -329,7 +342,7 @@ def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
         raise SingularityError(f"kernel d_3 = {d} is not positive")
     if normalization == FACTORIAL:
         try:
-            value = d ** -0.5 * cmath.exp(complex(x1, sign * x2) * h2 / d)
+            value = d ** -0.5 * _exp(complex(x1, sign * x2) * h2 / d)
         except OverflowError as exc:
             raise ValueError(FLOAT_OVERFLOW) from exc
     else:

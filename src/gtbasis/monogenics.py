@@ -78,7 +78,13 @@ def _base2_mon_value(x1: float, x2: float, h2: float, normalization: str) -> tup
     = e^{x_1 h_2}(cos(x_2 h_2) - e_12 sin(x_2 h_2)), or of the plain rational base."""
     if normalization == FACTORIAL:
         r = math.exp(x1 * h2)
-        return r * math.cos(x2 * h2), -r * math.sin(x2 * h2)
+        phase = x2 * h2
+        if not math.isfinite(phase):
+            # cos and sin of an infinite phase have no value, unless r underflowed to 0
+            if r != 0.0:
+                raise ValueError(FLOAT_OVERFLOW)
+            return 0.0, 0.0
+        return r * math.cos(phase), -r * math.sin(phase)
     denom = _plain_denominator(x1, x2, h2)
     return (1.0 - x1 * h2) / denom, -x2 * h2 / denom
 

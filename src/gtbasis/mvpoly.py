@@ -1,18 +1,28 @@
 """Multivariate polynomials in x_1..x_m over exact coefficient rings.
 
-A polynomial is one sparse map (exponents, blade) -> Fraction.  The blade is
-a bitmask over the generators of R_{0,m}, with the same m as the variables.
-Two rings share this representation: ``clifford`` polynomials may use every
-blade, ``gaussian`` ones store a + b*i as a on blade 0 and b on E12 = e_1 e_2
-(e12^2 = -1, and Clifford conjugation of e12 is i -> -i).  GaussianRational
-is only the boundary type of input, ``coeff``, ``eval``, text and JSON.
-Variables are real and commute with everything; in the Clifford ring only
-the blades fail to commute, so products keep factor order.
+A polynomial is one sparse map (exponents, blade) -> integer numerator over
+one positive denominator shared by every term, kept canonical: no zero
+numerator, and the gcd of the denominator and all numerators is 1.  So
+equality and hashing compare structure only, and products, sums and
+derivatives run on integers.  Fractions appear only at the boundary: the
+constructors, ``terms`` (a read-only Fraction view), ``coeff``, ``eval``,
+text and JSON.
+
+The blade is a bitmask over the generators of R_{0,m}, with the same m as
+the variables.  Two rings share this representation: ``clifford``
+polynomials may use every blade, ``gaussian`` ones store a + b*i as a on
+blade 0 and b on E12 = e_1 e_2 (e12^2 = -1, and Clifford conjugation of e12
+is i -> -i).  GaussianRational is only the boundary type of input, ``coeff``,
+``eval``, text and JSON.  Variables are real and commute with everything; in
+the Clifford ring only the blades fail to commute, so products keep factor
+order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 from .clifford import E12, Multivector, blade_sign, conjugation_sign
@@ -63,17 +73,60 @@ def _accumulate(acc: dict, key, coeff) -> None:
     acc[key] = acc[key] + coeff if key in acc else coeff
 
 
-def _fill(poly, dim: int, ring: str, terms: dict):
+def _fill(poly, dim: int, ring: str, num: dict, den: int):
+    """Set the slots of poly from numerators and a denominator already canonical."""
     object.__setattr__(poly, "dim", dim)
     object.__setattr__(poly, "ring", ring)
-    object.__setattr__(poly, "terms", {key: c for key, c in terms.items() if c})
+    object.__setattr__(poly, "num", num)
+    object.__setattr__(poly, "den", den)
     return poly
 
 
-class MPoly:
-    """Immutable sparse polynomial: (exponent tuple, blade) -> Fraction."""
+def _fill_exact(poly, dim: int, ring: str, terms: dict):
+    """Set the slots of poly from a {key: int or Fraction} map, over the lcm of the denominators.
 
-    __slots__ = ("dim", "ring", "terms")
+    Reduced fractions over their lcm have numerators coprime to it, so only
+    zeros need dropping.
+    """
+    terms = {key: c for key, c in terms.items() if c}
+    den = lcm(*(c.denominator for c in terms.values()))
+    return _fill(poly, dim, ring,
+                 {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den)
+
+
+class _FractionTerms(Mapping):
+    """Read-only view (exps, blade) -> Fraction over a polynomial's numerators.
+
+    Length, keys and membership read the numerator map only; a Fraction is
+    built when a value is read.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._num[key], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __contains__(self, key) -> bool:
+        return key in self._num
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class MPoly:
+    """Immutable sparse polynomial: (exponent tuple, blade) -> integer numerator, over ``den``."""
+
+    __slots__ = ("dim", "ring", "num", "den")
 
     def __init__(self, dim: int, ring: str = GAUSSIAN, terms: dict | None = None):
         """Validate a caller's {exponent tuple: coefficient} map.
@@ -88,15 +141,38 @@ class MPoly:
             exps = _check_exps(exps, dim)
             for blade, c in _blades(coeff, dim, ring):
                 _accumulate(acc, (exps, blade), c)
-        _fill(self, dim, ring, acc)
+        _fill_exact(self, dim, ring, acc)
 
     @classmethod
     def _make(cls, dim: int, ring: str, terms: dict) -> "MPoly":
-        """Trusted constructor for terms built from valid polynomials: drops zeros only."""
-        return _fill(object.__new__(cls), dim, ring, terms)
+        """Trusted constructor from a {(exps, blade): int or Fraction} map of valid keys."""
+        return _fill_exact(object.__new__(cls), dim, ring, terms)
+
+    @classmethod
+    def _reduced(cls, dim: int, ring: str, num: dict, den: int) -> "MPoly":
+        """Trusted constructor from integer numerators of valid keys over den > 0.
+
+        Drops zero numerators and divides out the gcd, the canonical form.
+        """
+        num = {key: n for key, n in num.items() if n}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {key: n // g for key, n in num.items()}
+                den //= g
+        return _fill(object.__new__(cls), dim, ring, num, den)
+
+    def _like(self, num: dict) -> "MPoly":
+        """A polynomial of this space from numerators that stay canonical over self.den."""
+        return _fill(object.__new__(MPoly), self.dim, self.ring, num, self.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping:
+        """(exps, blade) -> Fraction coefficient, as a read-only view."""
+        return _FractionTerms(self.num, self.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -123,26 +199,28 @@ class MPoly:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def total_degree(self):
         """Largest total degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return None
-        return max(sum(exps) for exps, _ in self.terms)
+        return max(sum(exps) for exps, _ in self.num)
 
     def is_homogeneous(self, degree: int) -> bool:
         """True when every term has the given total degree (zero passes for all)."""
-        return all(sum(exps) == degree for exps, _ in self.terms)
+        return all(sum(exps) == degree for exps, _ in self.num)
 
     def coeff(self, exps):
         """Coefficient of x^exps: a Multivector (clifford) or an exact scalar (gaussian)."""
         exps = tuple(exps)
+        num, den = self.num, self.den
         if self.ring == GAUSSIAN:
-            return make_gaussian(self.terms.get((exps, 0), 0), self.terms.get((exps, E12), 0))
-        return Multivector(self.dim, {blade: self.terms[exps, blade]
+            return make_gaussian(Fraction(num.get((exps, 0), 0), den),
+                                 Fraction(num.get((exps, E12), 0), den))
+        return Multivector(self.dim, {blade: Fraction(num[exps, blade], den)
                                       for blade in range(1 << self.dim)
-                                      if (exps, blade) in self.terms})
+                                      if (exps, blade) in num})
 
     def _require_same(self, other: "MPoly") -> None:
         if self.dim != other.dim or self.ring != other.ring:
@@ -158,9 +236,10 @@ class MPoly:
         Gaussian blades 0 and E12 come back as one scalar on blade 0.
         """
         by_monomial: dict = {}
-        for (exps, blade), c in sorted(self.terms.items(),
+        den = self.den
+        for (exps, blade), n in sorted(self.num.items(),
                                        key=lambda kv: (sum(kv[0][0]), kv[0])):
-            by_monomial.setdefault(exps, {})[blade] = c
+            by_monomial.setdefault(exps, {})[blade] = Fraction(n, den)
         if self.ring == CLIFFORD:
             return list(by_monomial.items())
         return [(exps, {0: make_gaussian(b.get(0, 0), b.get(E12, 0))})
@@ -169,20 +248,31 @@ class MPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (*_EXACT, Multivector)):
-            other = MPoly.constant(self.dim, other, self.ring)
         if not isinstance(other, MPoly):
-            return NotImplemented
+            if not isinstance(other, (*_EXACT, Multivector)):
+                return NotImplemented
+            other = MPoly.constant(self.dim, other, self.ring)
         self._require_same(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accumulate(terms, key, coeff)
-        return MPoly._make(self.dim, self.ring, terms)
+        da, db = self.den, other.den
+        if da == db:
+            num = dict(self.num)
+            get = num.get
+            for key, n in other.num.items():
+                num[key] = get(key, 0) + n
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            num = {key: n * fa for key, n in self.num.items()}
+            get = num.get
+            for key, n in other.num.items():
+                num[key] = get(key, 0) + n * fb
+            da = den
+        return MPoly._reduced(self.dim, self.ring, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._make(self.dim, self.ring, {key: -c for key, c in self.terms.items()})
+        return self._like({key: -n for key, n in self.num.items()})
 
     def __sub__(self, other):
         if isinstance(other, (*_EXACT, Multivector)):
@@ -196,21 +286,21 @@ class MPoly:
 
     def __mul__(self, other):
         """Product; a Multivector factor multiplies every coefficient from the right."""
-        if isinstance(other, _EXACT):
-            return self.scale(other)
-        if isinstance(other, Multivector):
-            other = MPoly.constant(self.dim, other, self.ring)
         if not isinstance(other, MPoly):
-            return NotImplemented
+            if isinstance(other, _EXACT):
+                return self.scale(other)
+            if not isinstance(other, Multivector):
+                return NotImplemented
+            other = MPoly.constant(self.dim, other, self.ring)
         self._require_same(other)
-        dim = self.dim
         acc: dict = {}
-        for (ea, ba), ca in self.terms.items():
-            for (eb, bb), cb in other.terms.items():
-                c = ca * cb
-                _accumulate(acc, (tuple(map(add, ea, eb)), ba ^ bb),
-                            c if blade_sign(ba, bb) > 0 else -c)
-        return MPoly._make(dim, self.ring, acc)
+        get = acc.get
+        right = other.num.items()
+        for (ea, ba), na in self.num.items():
+            for (eb, bb), nb in right:
+                key = (tuple(map(add, ea, eb)), ba ^ bb)
+                acc[key] = get(key, 0) + (na * nb if blade_sign(ba, bb) > 0 else -na * nb)
+        return MPoly._reduced(self.dim, self.ring, acc, self.den * other.den)
 
     def __rmul__(self, other):
         """A scalar, or a Multivector multiplying every coefficient from the left."""
@@ -225,8 +315,9 @@ class MPoly:
             return self * MPoly.constant(self.dim, factor, self.ring)
         if not isinstance(factor, (int, Fraction)):
             raise TypeError("scale factor must be an exact scalar")
-        return MPoly._make(self.dim, self.ring,
-                           {key: factor * c for key, c in self.terms.items()})
+        p, q = factor.numerator, factor.denominator
+        return MPoly._reduced(self.dim, self.ring,
+                              {key: p * n for key, n in self.num.items()}, q * self.den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -245,10 +336,11 @@ class MPoly:
             other = MPoly.constant(self.dim, other, self.ring)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return (self.dim, self.ring, self.terms) == (other.dim, other.ring, other.terms)
+        return (self.dim, self.ring, self.den, self.num) == \
+               (other.dim, other.ring, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.dim, self.ring, frozenset(self.terms.items())))
+        return hash((self.dim, self.ring, self.den, frozenset(self.num.items())))
 
     # -- calculus ----------------------------------------------------------
 
@@ -257,32 +349,36 @@ class MPoly:
         if not 1 <= j <= self.dim:
             raise ValueError(f"variable index {j} out of range 1..{self.dim}")
         i = j - 1
-        terms = {}
-        for (exps, blade), coeff in self.terms.items():
-            if exps[i]:
-                lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                terms[lowered, blade] = coeff * exps[i]
-        return MPoly._make(self.dim, self.ring, terms)
+        num = {}
+        for (exps, blade), n in self.num.items():
+            e = exps[i]
+            if e:
+                num[exps[:i] + (e - 1,) + exps[i + 1:], blade] = n * e
+        return MPoly._reduced(self.dim, self.ring, num, self.den)
 
     def laplacian(self) -> "MPoly":
         """Sum of second partials over all variables, in one pass over the terms."""
         acc: dict = {}
-        for (exps, blade), coeff in self.terms.items():
+        get = acc.get
+        for (exps, blade), n in self.num.items():
             for i, e in enumerate(exps):
                 if e > 1:
-                    lowered = exps[:i] + (e - 2,) + exps[i + 1:]
-                    _accumulate(acc, (lowered, blade), coeff * (e * (e - 1)))
-        return MPoly._make(self.dim, self.ring, acc)
+                    key = (exps[:i] + (e - 2,) + exps[i + 1:], blade)
+                    acc[key] = get(key, 0) + n * (e * (e - 1))
+        return MPoly._reduced(self.dim, self.ring, acc, self.den)
 
     def dirac(self) -> "MPoly":
-        """Apply e_1 d/dx_1 + ... + e_m d/dx_m, generators acting from the left."""
+        """Apply e_1 d/dx_1 + ... + e_m d/dx_m, generators acting from the left, in one pass."""
         self._require_ring(CLIFFORD, "Dirac operator")
-        origin = (0,) * self.dim
-        out = MPoly.zero(self.dim, CLIFFORD)
-        for j in range(1, self.dim + 1):
-            ej = MPoly._make(self.dim, CLIFFORD, {(origin, 1 << (j - 1)): Fraction(1)})
-            out = out + ej * self.deriv(j)
-        return out
+        acc: dict = {}
+        get = acc.get
+        for (exps, blade), n in self.num.items():
+            for i, e in enumerate(exps):
+                if e:
+                    ej = 1 << i
+                    key = (exps[:i] + (e - 1,) + exps[i + 1:], blade ^ ej)
+                    acc[key] = get(key, 0) + (n * e if blade_sign(ej, blade) > 0 else -n * e)
+        return MPoly._reduced(self.dim, CLIFFORD, acc, self.den)
 
     # -- evaluation --------------------------------------------------------
 
@@ -308,14 +404,18 @@ class MPoly:
                 cache[e] = coords[i] ** e
             return cache[e]
 
+        den = self.den
         zero = Fraction(0) if exact else 0.0
         acc: dict = {}
-        for (exps, blade), coeff in self.terms.items():
+        for (exps, blade), n in self.num.items():
             mono = Fraction(1) if exact else 1.0
             for i, e in enumerate(exps):
                 if e:
                     mono *= power(i, e)
-            acc[blade] = acc.get(blade, zero) + (coeff if exact else float(coeff)) * mono
+            # n / den is the correctly rounded float of the coefficient
+            acc[blade] = acc.get(blade, zero) + (n if exact else n / den) * mono
+        if exact:
+            acc = {blade: v / den for blade, v in acc.items()}
         if self.ring == CLIFFORD:
             return Multivector(self.dim, acc)
         re, im = acc.get(0, zero), acc.get(E12)
@@ -332,42 +432,41 @@ class MPoly:
         if dim == self.dim:
             return self
         pad = (0,) * (dim - self.dim)
-        return MPoly._make(dim, self.ring, {(exps + pad, blade): c
-                                            for (exps, blade), c in self.terms.items()})
+        return _fill(object.__new__(MPoly), dim, self.ring,
+                     {(exps + pad, blade): n for (exps, blade), n in self.num.items()}, self.den)
 
     def to_clifford(self) -> "MPoly":
         """The same real polynomial in the clifford ring."""
-        if self.ring == GAUSSIAN and any(blade for _, blade in self.terms):
+        if self.ring == GAUSSIAN and any(blade for _, blade in self.num):
             raise ValueError("cannot move genuinely complex coefficients to R_{0,m}")
-        return MPoly._make(self.dim, CLIFFORD, self.terms)
+        return _fill(object.__new__(MPoly), self.dim, CLIFFORD, self.num, self.den)
 
     def conjugate(self) -> "MPoly":
         """Clifford conjugation of the coefficients, which is i -> -i on the gaussian ring's e12."""
-        return MPoly._make(self.dim, self.ring, {
-            (exps, blade): -c if conjugation_sign(blade) < 0 else c
-            for (exps, blade), c in self.terms.items()})
+        return self._like({(exps, blade): -n if conjugation_sign(blade) < 0 else n
+                           for (exps, blade), n in self.num.items()})
 
     def real_part(self) -> "MPoly":
         self._require_ring(GAUSSIAN, "real_part")
-        return MPoly._make(self.dim, GAUSSIAN, {
-            (exps, blade): c for (exps, blade), c in self.terms.items() if not blade})
+        return MPoly._reduced(self.dim, GAUSSIAN, {
+            (exps, blade): n for (exps, blade), n in self.num.items() if not blade}, self.den)
 
     def imag_part(self) -> "MPoly":
         self._require_ring(GAUSSIAN, "imag_part")
-        return MPoly._make(self.dim, GAUSSIAN, {
-            (exps, 0): c for (exps, blade), c in self.terms.items() if blade})
+        return MPoly._reduced(self.dim, GAUSSIAN, {
+            (exps, 0): n for (exps, blade), n in self.num.items() if blade}, self.den)
 
     # -- rendering / serialization ------------------------------------------
 
     def __repr__(self):
-        monomials = len({exps for exps, _ in self.terms})
+        monomials = len({exps for exps, _ in self.num})
         return f"MPoly({self.dim}, {self.ring!r}, <{monomials} terms>)"
 
     def __str__(self):
         return self.to_text()
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for exps, blades in self._monomials():

@@ -108,3 +108,63 @@ def test_cli_non_finite_kernel_exits_2(kind, x, h):
     assert proc.stdout == ""
     assert "overflows the float range" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# -- an infinite phase x_2 * h_2 under unsafe_domain ---------------------------------
+
+# |x|^2 and every kernel are finite, but x_2 * h_2 = +inf: cos, sin and the
+# complex exp of that phase have no value
+INFINITE_PHASE = {2: ([0.0, 1e154], [1e200]), 3: ([0.0, 1e154, 0.0], [1e200, 0.0])}
+
+
+def _closed_forms(m):
+    for norm in (FACTORIAL, PLAIN):
+        for sign in (+1, -1):
+            yield lambda x, h, s=sign, n=norm: gf_harm_closed(m, x, h, s, n, unsafe_domain=True)
+        yield lambda x, h, n=norm: gf_mon_closed(m, x, h, n, unsafe_domain=True)
+        if m == 3:
+            for sign in (+1, -1):
+                yield lambda x, h, s=sign, n=norm: gf_harm_closed_m3(x, h, s, n,
+                                                                     unsafe_domain=True)
+            yield lambda x, h, n=norm: gf_mon_closed_m3(x, h, n, unsafe_domain=True)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_infinite_phase_is_an_overflow_error(m):
+    x, h = INFINITE_PHASE[m]
+    for evaluate in _closed_forms(m):
+        with pytest.raises(ValueError, match="overflows the float range") as info:
+            evaluate(x, h)
+        assert not isinstance(info.value, SingularityError)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_infinite_phase_with_vanishing_magnitude_is_zero(m):
+    # x_1 * h_2 = -inf, so e^{x_1 h_2} = 0 whatever the phase: the value is 0
+    x, h = [-1e153, 1e153, 0.0][:m], [1e200, 0.0][:m - 1]
+    assert gf_harm_closed(m, x, h, +1, FACTORIAL, unsafe_domain=True) == 0
+    assert gf_mon_closed(m, x, h, FACTORIAL, unsafe_domain=True).is_zero()
+    if m == 3:
+        assert gf_mon_closed_m3(x, h, FACTORIAL, unsafe_domain=True).is_zero()
+
+
+@pytest.mark.parametrize("norm", [FACTORIAL, PLAIN])
+@pytest.mark.parametrize("kind", ["harm", "mon"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_cli_infinite_phase_exits_2(m, kind, norm):
+    x, h = INFINITE_PHASE[m]
+    proc = run_cli("genfun", "eval", "--kind", kind, "--m", str(m), "--norm", norm,
+                   "--x=" + ",".join(map(str, x)), "--h=" + ",".join(map(str, h)),
+                   "--unsafe-domain")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the generating-function value overflows the float range\n"
+
+
+def test_cli_infinite_phase_of_the_reported_call_exits_2():
+    for kind in ("harm", "mon"):
+        proc = run_cli("genfun", "eval", "--kind", kind, "--m", "2", "--x=0,1e200",
+                       "--h=1e200", "--unsafe-domain")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "overflows the float range" in proc.stderr
