@@ -302,10 +302,40 @@ def _exp(w: complex) -> complex:
 
 def _base2_value(x1: float, x2: float, h2: float, sign: int,
                  normalization: str) -> complex:
+    """exp((x_1 + sign*i*x_2) h_2), or the plain rational base, at a float point.
+
+    With sign -1 and e12 read as i it is the monogenic base value too: its real
+    and imaginary parts are the scalar and e12 coefficients.
+    """
     z = complex(x1, sign * x2)
     if normalization == FACTORIAL:
         return _exp(z * h2)
     return (1.0 - z.conjugate() * h2) / _plain_denominator(x1, x2, h2)
+
+
+def _closed_form(m: int, x, h, lift: int, sign: int, normalization: str,
+                 unsafe_domain: bool):
+    """The closed-form descent both families share.
+
+    Checks the point, runs the d_r descent (_descend) and returns
+    (x, levels, value) with value = prod_r d_r^(lift - r/2) * base value at the
+    rescaled h_2 as a complex number: lift = 1 gives the harmonic generating
+    function, lift = 0 the scalar part of the monogenic one before its
+    prefactors (base sign -1, e12 read as i).  A value beyond the float range
+    is a FLOAT_OVERFLOW ValueError.
+    """
+    x, h = _check_point(m, x, h, unsafe_domain)
+    levels, h2 = _descend(x, h)
+    try:
+        value = complex(1.0)
+        for r, d, _ in levels:
+            value *= d ** (lift - r / 2.0)
+        value *= _base2_value(x[0], x[1], h2, sign, normalization)
+    except OverflowError as exc:
+        raise ValueError(FLOAT_OVERFLOW) from exc
+    if not cmath.isfinite(value):
+        raise ValueError(FLOAT_OVERFLOW)
+    return x, levels, value
 
 
 def gf_harm_closed(m: int, x, h, sign=+1, normalization: str = FACTORIAL,
@@ -313,18 +343,7 @@ def gf_harm_closed(m: int, x, h, sign=+1, normalization: str = FACTORIAL,
     """Closed-form value of the generating function by downward dimension recursion."""
     sign = _norm_sign(sign)
     _check_norm(normalization)
-    x, h = _check_point(m, x, h, unsafe_domain)
-    levels, h2 = _descend(x, h)
-    try:
-        value = complex(1.0)
-        for r, d, _ in levels:
-            value *= d ** (1.0 - r / 2.0)
-        value *= _base2_value(x[0], x[1], h2, sign, normalization)
-    except OverflowError as exc:
-        raise ValueError(FLOAT_OVERFLOW) from exc
-    if not cmath.isfinite(value):
-        raise ValueError(FLOAT_OVERFLOW)
-    return value
+    return _closed_form(m, x, h, 1, sign, normalization, unsafe_domain)[2]
 
 
 def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
@@ -342,7 +361,7 @@ def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
         raise SingularityError(f"kernel d_3 = {d} is not positive")
     if normalization == FACTORIAL:
         try:
-            value = d ** -0.5 * _exp(complex(x1, sign * x2) * h2 / d)
+            value = d ** -0.5 * _exp(complex(x1 * h2 / d, sign * x2 * h2 / d))
         except OverflowError as exc:
             raise ValueError(FLOAT_OVERFLOW) from exc
     else:
@@ -437,11 +456,13 @@ def _partial_sum(m: int, x, h, order: int, base_values: list, split,
     """Sum over |k| <= order of factor_m ... factor_3 * base_values[k_2] * h^k.
 
     Values are dense coefficient lists: one complex entry for a harmonic
-    value, 2^m blade coefficients for a multivector.  Every embedding factor
-    is split as a + b*U_r, where a and b are scalars and U_r is a fixed
-    element per dimension; split(r, table, j, k_r) returns (a, b) from the
-    dimension-r table of F values (_f_table), and times_u(r, value) is the
-    left product U_r * value.  The harmonic sum has b = 0 and no U_r.
+    value, and for a multivector the 2^r blade coefficients of R_{0,r} at
+    dimension r, so a monogenic value grows 4 -> 8 -> ... -> 2^m entries.
+    Every embedding factor is split as a + b*U_r, where a and b are scalars
+    and U_r = sum_{i<r} x_i e_i e_r; split(r, table, j, k_r) returns (a, b)
+    from the dimension-r table of F values (_f_table).  times_u(r, x, s, v)
+    is the e_r half of (sum_{i<r} x_i s e_i e_r) * v for v in R_{0,r-1}, called
+    with s = 1.0 (the monogenic kernel); the harmonic sum has b = 0 and no U_r.
 
     Since a factor depends on the lower indices only through
     j = k_2 + ... + k_{r-1}, the sum is built one dimension at a time by
@@ -450,31 +471,32 @@ def _partial_sum(m: int, x, h, order: int, base_values: list, split,
 
         level_r[s] = sum_{k_r <= s} (a * level_{r-1}[j] + b * V[j]) * h_r^{k_r},  j = s - k_r.
 
-    So each dimension costs one F table and order + 1 products by U_r.
+    No blade of level_{r-1} holds e_r and every blade of V does, so the a terms
+    fill the lower half of level_r[s] and the b terms its upper half.  Each
+    dimension costs one F table and order + 1 products by U_r.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    width = len(base_values[0])
     level = [[c * h[0] ** s for c in v] for s, v in enumerate(base_values)]
     for r in range(3, m + 1):
         table = _f_table(r, order, x)
         hpow = [h[r - 2] ** kr for kr in range(order + 1)]
-        products = None if times_u is None else [times_u(r, v) for v in level]
+        width = len(level[0])
+        products = None if times_u is None else [times_u(r, x, 1.0, v) for v in level]
         nxt = []
         for s in range(order + 1):
-            acc = [0.0] * width
+            lower = [0.0] * width
+            upper = [] if times_u is None else [0.0] * width
             for kr in range(s + 1):
                 j = s - kr
                 a, b = split(r, table, j, kr)
                 hk = hpow[kr]
+                lower = [t + a * c * hk for t, c in zip(lower, level[j])]
                 if b:
-                    acc = [t + (a * c + b * u) * hk
-                           for t, c, u in zip(acc, level[j], products[j])]
-                else:
-                    acc = [t + a * c * hk for t, c in zip(acc, level[j])]
-            nxt.append(acc)
+                    upper = [t + b * u * hk for t, u in zip(upper, products[j])]
+            nxt.append(lower + upper)
         level = nxt
-    total = [0.0] * width
+    total = [0.0] * len(level[0])
     for v in level:
         total = [t + c for t, c in zip(total, v)]
     return total

@@ -15,7 +15,12 @@ The generating function M_m(x, h) = sum_k mon_k(x) h^k satisfies
 
     M_m(x, h) = (1 + x h_m e_m) * d_m^(-m/2) * M_{m-1}(x', h'/d_m)
 
-with the same d_m kernel as the harmonic case.
+with the same d_m kernel as the harmonic case.  The float closed form runs
+the harmonic descent with the power d_m^(-m/2) and the base sign -1 (e12 read
+as i), then applies the prefactors.  Each prefactor and each Clifford
+embedding factor X = a + b*U_r of the partial sums multiplies by
+U_r = sum_{i<r} x_i e_i e_r through one kernel, _u_times, and every float
+value at dimension r is a dense list of the blades of R_{0,r}.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from functools import lru_cache
 
 from .clifford import E12, Multivector, blade_product
 from .errors import SingularityError
-from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base2, _base_powers,
-                        _basis_product, _check_norm, _check_point, _descend,
-                        _gf_series, _Index, _partial_sum, _plain_denominator,
-                        embedding_F, embedding_f_value, iter_multi_indices)
+from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base2, _base2_value,
+                        _base_powers, _basis_product, _check_norm, _check_point,
+                        _closed_form, _gf_series, _Index, _partial_sum, embedding_F,
+                        embedding_f_value, iter_multi_indices)
 from .hseries import HSeries, _underline_x_em
 from .mvpoly import CLIFFORD, MPoly
 
@@ -73,69 +78,53 @@ def enumerate_mon_indices(m: int, deg_max: int,
 # -- float evaluation ------------------------------------------------------
 
 
-def _base2_mon_value(x1: float, x2: float, h2: float, normalization: str) -> tuple:
-    """The scalar and e_12 coefficients of exp((x_1 - e_12 x_2) h_2)
-    = e^{x_1 h_2}(cos(x_2 h_2) - e_12 sin(x_2 h_2)), or of the plain rational base."""
-    if normalization == FACTORIAL:
-        r = math.exp(x1 * h2)
-        phase = x2 * h2
-        if not math.isfinite(phase):
-            # cos and sin of an infinite phase have no value, unless r underflowed to 0
-            if r != 0.0:
-                raise ValueError(FLOAT_OVERFLOW)
-            return 0.0, 0.0
-        return r * math.cos(phase), -r * math.sin(phase)
-    denom = _plain_denominator(x1, x2, h2)
-    return (1.0 - x1 * h2) / denom, -x2 * h2 / denom
-
-
 @lru_cache(maxsize=None)
-def _prefactor_blades(r: int) -> tuple:
-    """_u_blades(r, r) on the blades of R_{0,r} that hold e_r: for each i < r, the
-    (sign, source) pairs with e_i e_r * e_source = sign * e_target, target = t + e_r
-    for t < 2^(r-1)."""
+def _u_blades(r: int) -> tuple:
+    """For each i < r, the pairs (sign, source) with e_i e_r * e_source = sign * e_target,
+    listed by target t + e_r for t < 2^(r-1): the e_r half of R_{0,r}, whose sources
+    t ^ e_i lie in R_{0,r-1}."""
     half = 1 << (r - 1)
-    return tuple(pairs[half:] for pairs in _u_blades(r, r))
+    out = []
+    for i in range(1, r):
+        u = (1 << (i - 1)) | half
+        out.append(tuple((blade_product(u, t ^ u, r)[0], t ^ u)
+                         for t in range(half, 2 * half)))
+    return tuple(out)
 
 
-def _prefactor_times(r: int, x, hr: float, v: list) -> list:
-    """(1 + x h_r e_r) * v on dense blade lists: v lies in R_{0,r-1}, the result in R_{0,r}.
+def _u_times(r: int, x, s: float, v: list) -> list:
+    """(sum_{i<r} x_i s e_i e_r) * v on dense blade lists: v lies in R_{0,r-1}, and
+    the result is the e_r half of R_{0,r} (the other half is zero).
 
-    1 + x h_r e_r = (1 - x_r h_r) + sum_{i<r} (x_i h_r) e_i e_r, and every e_i e_r
-    holds e_r while no blade of v does: the blades without e_r are (1 - x_r h_r)*v,
-    and those with e_r sum the e_i e_r terms in ascending i, as the sparse
-    Multivector product of the two does.
+    The terms are summed in ascending i, as the sparse Multivector product does.
+    The closed form calls it with s = h_r, the partial sums with s = 1.0.
     """
-    a = 1.0 - x[r - 1] * hr
-    first, *rest = _prefactor_blades(r)
-    c = x[0] * hr
-    upper = [c * sign * v[src] for sign, src in first]
+    first, *rest = _u_blades(r)
+    c = x[0] * s
+    out = [c * sign * v[src] for sign, src in first]
     for i, pairs in enumerate(rest, 1):
-        c = x[i] * hr
-        upper = [u + c * sign * v[src] for u, (sign, src) in zip(upper, pairs)]
-    return [a * t for t in v] + upper
+        c = x[i] * s
+        out = [o + c * sign * v[src] for o, (sign, src) in zip(out, pairs)]
+    return out
 
 
 def gf_mon_closed(m: int, x, h, normalization: str = FACTORIAL,
                   unsafe_domain: bool = False) -> Multivector:
     """Closed-form value of the monogenic generating function (float multivector).
 
-    The value stays a dense blade list, one prefactor at a time from r = 3 up,
-    and becomes one Multivector at the end.
+    The shared descent gives the scalar and e12 parts; the value then stays a
+    dense blade list of R_{0,r} while each prefactor
+    1 + x h_r e_r = (1 - x_r h_r) + sum_{i<r} (x_i h_r) e_i e_r multiplies it from
+    r = 3 up, and becomes one Multivector at the end.  No blade of the value
+    holds e_r, so (1 - x_r h_r) times it is the lower half of the product and
+    _u_times the upper half.
     """
     _check_norm(normalization)
-    x, h = _check_point(m, x, h, unsafe_domain)
-    levels, h2 = _descend(x, h)
-    try:
-        scale = 1.0
-        for r, d, _ in levels:
-            scale *= d ** (-r / 2.0)
-        b0, b12 = _base2_mon_value(x[0], x[1], h2, normalization)
-    except OverflowError as exc:
-        raise ValueError(FLOAT_OVERFLOW) from exc
-    value = [scale * b0, 0.0, 0.0, scale * b12]
+    x, levels, base = _closed_form(m, x, h, 0, -1, normalization, unsafe_domain)
+    value = [base.real, 0.0, 0.0, base.imag]
     for r, _, hr in reversed(levels):
-        value = _prefactor_times(r, x, hr, value)
+        a = 1.0 - x[r - 1] * hr
+        value = [a * t for t in value] + _u_times(r, x, hr, value)
     if not all(map(math.isfinite, value)):
         raise ValueError(FLOAT_OVERFLOW)
     return Multivector(m, dict(enumerate(value)))
@@ -157,8 +146,8 @@ def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
                                 0b101: x1 * h3,
                                 0b110: x2 * h3})
     try:
-        b0, b12 = _base2_mon_value(x1, x2, h2 / d, normalization)
-        value = prefactor * Multivector(3, {0: b0, E12: b12}).scale(d ** -1.5)
+        base = _base2_value(x1, x2, h2 / d, -1, normalization)
+        value = prefactor * Multivector(3, {0: base.real, E12: base.imag}).scale(d ** -1.5)
     except OverflowError as exc:
         raise ValueError(FLOAT_OVERFLOW) from exc
     if not all(map(math.isfinite, value.terms.values())):
@@ -191,45 +180,16 @@ def _mon_split(r: int, table: list, j: int, k: int) -> tuple:
     return a, b
 
 
-@lru_cache(maxsize=None)
-def _u_blades(m: int, r: int) -> tuple:
-    """For each i < r, the pairs (sign, source) with e_i e_r * e_source = sign * e_target,
-    listed by target blade of R_{0,m}."""
-    er = 1 << (r - 1)
-    out = []
-    for i in range(1, r):
-        u = (1 << (i - 1)) | er
-        out.append(tuple((blade_product(u, t ^ u, m)[0], t ^ u) for t in range(1 << m)))
-    return tuple(out)
-
-
-def _u_product(m: int, x):
-    """times_u(r, v) = U_r * v on dense blade lists, U_r = sum_{i<r} x_i e_i e_r."""
-    columns = {r: [[(x[i] * sign, src) for sign, src in pairs]
-                   for i, pairs in enumerate(_u_blades(m, r))]
-               for r in range(3, m + 1)}
-
-    def times_u(r: int, v: list) -> list:
-        first, *rest = columns[r]
-        out = [c * v[src] for c, src in first]
-        for col in rest:
-            out = [o + c * v[src] for o, (c, src) in zip(out, col)]
-        return out
-    return times_u
-
-
 def gf_mon_partial_sum(m: int, x, h, order: int,
                        normalization: str = FACTORIAL) -> Multivector:
     """Float partial sum of the monogenic generating series over |k| <= order."""
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain=True)
     # x_1 - e_12 x_2 spans a copy of C (e_12^2 = -1), so its powers are complex ones.
-    base_values = []
-    for z in _base_powers(complex(x[0], -x[1]), complex(1.0), order, normalization):
-        dense = [0.0] * (1 << m)
-        dense[0], dense[E12] = z.real, z.imag
-        base_values.append(dense)
-    total = _partial_sum(m, x, h, order, base_values, _mon_split, _u_product(m, x))
+    base_values = [[z.real, 0.0, 0.0, z.imag]
+                   for z in _base_powers(complex(x[0], -x[1]), complex(1.0), order,
+                                         normalization)]
+    total = _partial_sum(m, x, h, order, base_values, _mon_split, _u_times)
     return Multivector(m, dict(enumerate(total)))
 
 

@@ -3,7 +3,7 @@
 Each check is a pure function returning pass/fail plus a first-counterexample
 witness.  Checks draw their randomness from a splittable seed sequence keyed
 by (seed, check name, parameters), so the report content is identical for a
-given seed regardless of execution order or thread count.  The streams are
+given seed regardless of execution order.  The streams are
 numpy's ``Generator(PCG64(SeedSequence(...)))`` reproduced in pure Python
 (``_pcg``), so reports are the ones numpy's generator gave and the package
 needs no numpy at run time.
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -441,16 +439,8 @@ def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
     return checks
 
 
-def thread_count() -> int:
-    raw = os.environ.get("GTBASIS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_verify(suites=("all",), m_max: int = 4, deg_max: int = 4, order: int = 3,
-               seed: int = 0, threads: int | None = None):
+               seed: int = 0):
     """Run the selected suites; returns (report dict, suite timing dict)."""
     selected = list(SUITES) if "all" in suites else [s for s in SUITES if s in suites]
     unknown = set(suites) - set(SUITES) - {"all"}
@@ -462,14 +452,9 @@ def run_verify(suites=("all",), m_max: int = 4, deg_max: int = 4, order: int = 3
         if value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
     checks = build_checks(selected, m_max, deg_max, order)
-    threads = thread_count() if threads is None else max(1, threads)
     timings: dict = {}
     t0 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: c.run(seed), checks))
-    else:
-        results = [check.run(seed) for check in checks]
+    results = [check.run(seed) for check in checks]
     timings["total"] = time.perf_counter() - t0
     results.sort(key=lambda r: (r.name, json.dumps(r.params, sort_keys=True)))
     failures = [r for r in results if r.status != "pass"]

@@ -104,18 +104,6 @@ def test_verify_report_is_deterministic():
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
-def test_verify_report_independent_of_thread_count():
-    import os
-    args = [sys.executable, "-m", "gtbasis", "verify", "--suite", "pde",
-            "--seed", "7", "--m-max", "3", "--deg-max", "3"]
-    env_serial = dict(os.environ, GTBASIS_THREADS="1")
-    env_parallel = dict(os.environ, GTBASIS_THREADS="4")
-    serial = subprocess.run(args, capture_output=True, text=True, env=env_serial)
-    parallel = subprocess.run(args, capture_output=True, text=True, env=env_parallel)
-    assert serial.returncode == 0 and parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
-
-
 def test_verify_pde_suite_passes():
     proc = run_cli("verify", "--suite", "pde", "--m-max", "3", "--deg-max", "3")
     assert proc.returncode == 0

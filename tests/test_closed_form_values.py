@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import FACTORIAL, PLAIN, DomainBox, Multivector, gf_mon_closed, make_gaussian
+from gtbasis import (FACTORIAL, PLAIN, DomainBox, Multivector, gf_harm_closed, gf_mon_closed,
+                     make_gaussian)
 
 E12 = 0b11
 
@@ -69,6 +70,19 @@ def test_dense_mon_closed_is_bit_identical_to_the_sparse_product(m, normalizatio
         assert value.dim == expected.dim == m
         assert value.terms == expected.terms
         assert all(type(c) is float for c in value.terms.values())
+
+
+@pytest.mark.parametrize("normalization", [FACTORIAL, PLAIN])
+def test_mon_base_is_the_harmonic_base_of_sign_minus(normalization):
+    # x_1 h_2 = 710 overflows exp alone, not e^{x_1 h_2} cos and sin at the phase pi/4
+    h2 = 710.0 / 0.99
+    points = [([0.99, math.pi / 4 / h2], [h2])]
+    rng = random.Random(f"mon-base:{normalization}")
+    points += [in_box_point(rng, 2) for _ in range(200)]
+    for x, h in points:
+        harm = gf_harm_closed(2, x, h, -1, normalization)
+        mon = gf_mon_closed(2, x, h, normalization)
+        assert mon == Multivector(2, {0: harm.real, E12: harm.imag})
 
 
 def test_dense_mon_closed_keeps_exact_zero_blades_out():

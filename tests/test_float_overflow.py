@@ -148,6 +148,15 @@ def test_infinite_phase_with_vanishing_magnitude_is_zero(m):
         assert gf_mon_closed_m3(x, h, FACTORIAL, unsafe_domain=True).is_zero()
 
 
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_m3_harmonic_formula_with_vanishing_magnitude_is_zero(sign):
+    # x_1 h_2 / d = -inf: the exponent is formed part by part, so its phase
+    # +/-inf stays a phase instead of becoming NaN in a complex division by d
+    x, h = [-1e153, 1e153, 0.0], [1e200, 0.0]
+    assert gf_harm_closed_m3(x, h, sign, FACTORIAL, unsafe_domain=True) == 0
+    assert gf_harm_closed(3, x, h, sign, FACTORIAL, unsafe_domain=True) == 0
+
+
 @pytest.mark.parametrize("norm", [FACTORIAL, PLAIN])
 @pytest.mark.parametrize("kind", ["harm", "mon"])
 @pytest.mark.parametrize("m", [2, 3])

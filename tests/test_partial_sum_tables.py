@@ -5,6 +5,10 @@ dimension and split each Clifford factor as a + b*U_r.  The references here
 spell out the plain sum over every multi-index k with |k| <= order, one
 `embedding_f_value` or `embedding_x_value` call per factor, as the sums were
 computed before the tables.
+
+The monogenic sum keeps its value at dimension r in R_{0,r}.  It must give the
+bits of the full-width loop it replaced, copied below: every level a dense list
+of all 2^m blades, U_r applied to all of them, and (a*c + b*u)*h^k per blade.
 """
 
 import math
@@ -12,7 +16,7 @@ import random
 
 import pytest
 
-from gtbasis import (FACTORIAL, PLAIN, DomainBox, Multivector, embedding_f_value,
+from gtbasis import (FACTORIAL, PLAIN, DomainBox, Multivector, blade_product, embedding_f_value,
                      embedding_x_value, gf_harm_partial_sum, gf_mon_closed,
                      gf_mon_partial_sum, iter_multi_indices)
 from gtbasis.harmonics import _f_table
@@ -116,3 +120,88 @@ def test_mon_partial_sum_m5_order_30_matches_the_closed_form(norm):
         h += [rng.uniform(-1.0, 1.0) * float(box.bound(r)) for r in range(3, 6)]
         closed = gf_mon_closed(5, x, h, norm)
         assert _component_gap(closed, gf_mon_partial_sum(5, x, h, 30, norm)) <= GF_TOL
+
+
+# -- bit identity with the full-width loop -------------------------------------
+
+
+def _full_width_u_columns(m, r, x):
+    """For each i < r, the pairs (x_i * sign, source) of U_r = sum_{i<r} x_i e_i e_r
+    over every target blade of R_{0,m}."""
+    er = 1 << (r - 1)
+    columns = []
+    for i in range(1, r):
+        u = (1 << (i - 1)) | er
+        columns.append([(x[i - 1] * blade_product(u, t ^ u, m)[0], t ^ u)
+                        for t in range(1 << m)])
+    return columns
+
+
+def full_width_mon_partial_sum(m, x, h, order, norm):
+    powers = [complex(1.0)]
+    for k2 in range(1, order + 1):
+        nxt = powers[-1] * complex(x[0], -x[1])
+        if norm == FACTORIAL:
+            nxt = nxt * (1.0 / k2)
+        powers.append(nxt)
+    level = []
+    for s, z in enumerate(powers):
+        dense = [0.0] * (1 << m)
+        dense[0], dense[E12] = z.real, z.imag
+        level.append([c * h[0] ** s for c in dense])
+    for r in range(3, m + 1):
+        table = _f_table(r, order, x)
+        hpow = [h[r - 2] ** kr for kr in range(order + 1)]
+        first, *rest = _full_width_u_columns(m, r, x)
+        products = []
+        for v in level:
+            u = [c * v[src] for c, src in first]
+            for column in rest:
+                u = [o + c * v[src] for o, (c, src) in zip(u, column)]
+            products.append(u)
+        nxt = []
+        for s in range(order + 1):
+            acc = [0.0] * (1 << m)
+            for kr in range(s + 1):
+                j = s - kr
+                a = (r - 2 + kr + 2 * j) / (r - 2 + 2 * j) * table[j][kr]
+                b = table[j + 1][kr - 1] if kr else 0.0
+                hk = hpow[kr]
+                if b:
+                    acc = [t + (a * c + b * u) * hk
+                           for t, c, u in zip(acc, level[j], products[j])]
+                else:
+                    acc = [t + a * c * hk for t, c in zip(acc, level[j])]
+            nxt.append(acc)
+        level = nxt
+    total = [0.0] * (1 << m)
+    for v in level:
+        total = [t + c for t, c in zip(total, v)]
+    return Multivector(m, dict(enumerate(total)))
+
+
+def _seeded_points(m, norm):
+    rng = random.Random(f"full-width:{m}:{norm}")
+    bounds = [float(b) for b in DomainBox(m).bounds()[1:]]
+    points = []
+    for n in range(4):
+        while True:
+            x = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+            if sum(v * v for v in x) <= 1.0:
+                break
+        if n == 0:
+            x[rng.randrange(m)] = 0.0
+        h = [rng.uniform(-0.5, 0.5)] + [rng.uniform(-1.0, 1.0) * b for b in bounds]
+        points.append((x, h))
+    return points
+
+
+@pytest.mark.parametrize("norm", [FACTORIAL, PLAIN])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_mon_partial_sum_is_bit_identical_to_the_full_width_loop(m, norm):
+    for x, h in _seeded_points(m, norm):
+        for order in (0, 1, 5, 12):
+            value = gf_mon_partial_sum(m, x, h, order, norm)
+            expected = full_width_mon_partial_sum(m, x, h, order, norm)
+            assert value.dim == expected.dim == m
+            assert value.terms == expected.terms

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from gtbasis import PLAIN, verify
 
 
@@ -19,10 +17,9 @@ def _install_raising_partial_sum(monkeypatch):
     monkeypatch.setattr(verify, "gf_mon_partial_sum", raising)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_raising_check_fails_with_witness_and_others_run(monkeypatch, threads):
+def test_raising_check_fails_with_witness_and_others_run(monkeypatch):
     _install_raising_partial_sum(monkeypatch)
-    report, _ = verify.run_verify(("gf",), m_max=3, seed=0, threads=threads)
+    report, _ = verify.run_verify(("gf",), m_max=3, seed=0)
     failed = {(c["name"], json.dumps(c["params"], sort_keys=True)): c["witness"]
               for c in report["checks"] if c["status"] != "pass"}
     witness = "RuntimeError: series evaluation broke"
