@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gtbasis import PLAIN, verify
 
 
@@ -17,9 +19,12 @@ def _install_raising_partial_sum(monkeypatch):
     monkeypatch.setattr(verify, "gf_mon_partial_sum", raising)
 
 
-def test_raising_check_fails_with_witness_and_others_run(monkeypatch):
+@pytest.mark.parametrize("seed", [1, 3])
+def test_raising_check_fails_with_witness_and_others_run(monkeypatch, seed):
+    """The failing set is the same whatever seed draws the sample points."""
     _install_raising_partial_sum(monkeypatch)
-    report, _ = verify.run_verify(("gf",), m_max=3, seed=0)
+    report, _ = verify.run_verify(("gf",), m_max=3, seed=seed)
+    assert report["seed"] == seed
     failed = {(c["name"], json.dumps(c["params"], sort_keys=True)): c["witness"]
               for c in report["checks"] if c["status"] != "pass"}
     witness = "RuntimeError: series evaluation broke"
