@@ -398,16 +398,26 @@ def gf_harm_series(m: int, order: int, sign=+1,
     return _gf_series(_base2(sign, GAUSSIAN), m, order, normalization)
 
 
-def _f_row(m: int, j: int, k_max: int, x) -> list:
+def _f_inputs(m: int, x) -> tuple:
+    """(x_m, |x|_m^2) as floats: all that an F row at dimension m reads of the point.
+
+    A square beyond the float range is a FLOAT_OVERFLOW ValueError.
+    """
+    coords = [float(x[i]) for i in range(m)]
+    try:
+        return coords[-1], sum(v ** 2 for v in coords)
+    except OverflowError as exc:
+        raise ValueError(FLOAT_OVERFLOW) from exc
+
+
+def _f_row(m: int, j: int, k_max: int, xm: float, r2: float) -> list:
     """Float values [F^(0)_{m,j}, ..., F^(k_max)_{m,j}] at a point, in one pass.
 
     The homogenized Gegenbauer recurrence, nu = m/2 + j - 1:
     n*F_n = 2*(n+nu-1)*x_m*F_{n-1} - (n+2*nu-2)*|x|_m^2*F_{n-2},
-    with F_0 = 1 and F_1 = 2*nu*x_m.  Only the first m coordinates of x are used.
+    with F_0 = 1 and F_1 = 2*nu*x_m; (xm, r2) come from _f_inputs.
     """
     nu = m / 2.0 + j - 1.0
-    r2 = sum(float(x[i]) ** 2 for i in range(m))
-    xm = float(x[m - 1])
     prev, cur = 0.0, 1.0
     row = [cur]
     for n in range(1, k_max + 1):
@@ -419,7 +429,8 @@ def _f_row(m: int, j: int, k_max: int, x) -> list:
 
 def _f_table(m: int, order: int, x) -> list:
     """Rows table[j][k] = F^(k)_{m,j}(x) for j + k <= order."""
-    return [_f_row(m, j, order - j, x) for j in range(order + 1)]
+    xm, r2 = _f_inputs(m, x)
+    return [_f_row(m, j, order - j, xm, r2) for j in range(order + 1)]
 
 
 def embedding_f_value(m: int, j: int, k: int, x) -> float:
@@ -432,7 +443,7 @@ def embedding_f_value(m: int, j: int, k: int, x) -> float:
         raise ValueError("k must be >= -1")
     if k == -1:
         return 0.0
-    return _f_row(m, j, k, x)[k]
+    return _f_row(m, j, k, *_f_inputs(m, x))[k]
 
 
 def _base_powers(base, one, order: int, normalization: str) -> list:
@@ -449,6 +460,28 @@ def _base_powers(base, one, order: int, normalization: str) -> list:
 def _harm_split(r: int, table: list, j: int, k: int) -> tuple:
     """The harmonic factor F^(k)_{r,j} as a + b*U_r: b = 0."""
     return table[j][k], 0.0
+
+
+def _float_powers(base: float, order: int) -> list:
+    """[base^0, ..., base^order]; a power beyond the float range is a FLOAT_OVERFLOW ValueError."""
+    try:
+        return [base ** k for k in range(order + 1)]
+    except OverflowError as exc:
+        raise ValueError(FLOAT_OVERFLOW) from exc
+
+
+def _blade_sums(terms: list, width: int) -> list:
+    """[sum of c * v[i] * hk over (c, v, hk) in terms, for i < width].
+
+    Each blade is accumulated on its own, from 0.0 and in the order of terms.
+    """
+    out = []
+    for i in range(width):
+        t = 0.0
+        for c, v, hk in terms:
+            t = t + c * v[i] * hk
+        out.append(t)
+    return out
 
 
 def _partial_sum(m: int, x, h, order: int, base_values: list, split,
@@ -473,32 +506,36 @@ def _partial_sum(m: int, x, h, order: int, base_values: list, split,
 
     No blade of level_{r-1} holds e_r and every blade of V does, so the a terms
     fill the lower half of level_r[s] and the b terms its upper half.  Each
-    dimension costs one F table and order + 1 products by U_r.
+    dimension costs one F table and order + 1 products by U_r.  For each s the
+    s + 1 splits are taken once; then every blade coefficient is accumulated
+    on its own in k_r order (_blade_sums), b = 0 terms skipped.
+
+    A power of an h entry beyond the float range, or a total that is not
+    finite, is a FLOAT_OVERFLOW ValueError, as in the closed forms.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    level = [[c * h[0] ** s for c in v] for s, v in enumerate(base_values)]
+    h2pow = _float_powers(h[0], order)
+    level = [[c * h2pow[s] for c in v] for s, v in enumerate(base_values)]
     for r in range(3, m + 1):
         table = _f_table(r, order, x)
-        hpow = [h[r - 2] ** kr for kr in range(order + 1)]
+        hpow = _float_powers(h[r - 2], order)
         width = len(level[0])
         products = None if times_u is None else [times_u(r, x, 1.0, v) for v in level]
         nxt = []
         for s in range(order + 1):
-            lower = [0.0] * width
-            upper = [] if times_u is None else [0.0] * width
-            for kr in range(s + 1):
-                j = s - kr
-                a, b = split(r, table, j, kr)
-                hk = hpow[kr]
-                lower = [t + a * c * hk for t, c in zip(lower, level[j])]
-                if b:
-                    upper = [t + b * u * hk for t, u in zip(upper, products[j])]
-            nxt.append(lower + upper)
+            splits = [(split(r, table, s - kr, kr), s - kr, hpow[kr]) for kr in range(s + 1)]
+            value = _blade_sums([(a, level[j], hk) for (a, _), j, hk in splits], width)
+            if times_u is not None:
+                value += _blade_sums([(b, products[j], hk) for (_, b), j, hk in splits if b],
+                                     width)
+            nxt.append(value)
         level = nxt
     total = [0.0] * len(level[0])
     for v in level:
         total = [t + c for t, c in zip(total, v)]
+    if not all(map(cmath.isfinite, total)):
+        raise ValueError(FLOAT_OVERFLOW)
     return total
 
 

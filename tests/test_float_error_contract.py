@@ -1,0 +1,71 @@
+"""The error contract of the float evaluators on inputs from the whole float range.
+
+Every closed form and partial sum either returns a finite value or raises a
+ValueError: DomainError, SingularityError or the overflow ValueError.  It never
+lets an OverflowError or ZeroDivisionError escape and never returns NaN or inf.
+Coordinates mix signed zeros, subnormals, magnitudes 1e10..1e308 and values in
+[-1, 1]; half the closed-form calls lift the convergence-box check.
+"""
+
+import cmath
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gtbasis import (FACTORIAL, PLAIN, Multivector, gf_harm_closed, gf_harm_closed_m3,
+                     gf_harm_partial_sum, gf_mon_closed, gf_mon_closed_m3,
+                     gf_mon_partial_sum)
+
+CONTRACT_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True,
+                             database=None)
+
+signs = st.sampled_from([1.0, -1.0])
+coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda s, v: s * v, signs, st.floats(5e-324, 2.2250738585072009e-308)),
+    st.builds(lambda s, v: s * v, signs, st.floats(1e10, 1e308)),
+    st.floats(-1.0, 1.0),
+)
+
+
+def _evaluate(kind, m, x, h, order, sign, norm, unsafe):
+    if kind == "harm_closed":
+        return gf_harm_closed(m, x, h, sign, norm, unsafe_domain=unsafe)
+    if kind == "mon_closed":
+        return gf_mon_closed(m, x, h, norm, unsafe_domain=unsafe)
+    if kind == "harm_closed_m3":
+        return gf_harm_closed_m3(x, h, sign, norm, unsafe_domain=unsafe)
+    if kind == "mon_closed_m3":
+        return gf_mon_closed_m3(x, h, norm, unsafe_domain=unsafe)
+    if kind == "harm_partial_sum":
+        return gf_harm_partial_sum(m, x, h, order, sign, norm)
+    return gf_mon_partial_sum(m, x, h, order, norm)
+
+
+@st.composite
+def calls(draw):
+    kind = draw(st.sampled_from(["harm_closed", "mon_closed", "harm_closed_m3",
+                                 "mon_closed_m3", "harm_partial_sum", "mon_partial_sum"]))
+    m = 3 if kind.endswith("_m3") else draw(st.integers(2, 5))
+    x = draw(st.lists(coordinates, min_size=m, max_size=m))
+    h = draw(st.lists(coordinates, min_size=m - 1, max_size=m - 1))
+    return (kind, m, x, h, draw(st.integers(0, 8)), draw(st.sampled_from([+1, -1])),
+            draw(st.sampled_from([FACTORIAL, PLAIN])), draw(st.booleans()))
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, Multivector):
+        return all(map(math.isfinite, value.terms.values()))
+    return cmath.isfinite(value)
+
+
+@CONTRACT_SETTINGS
+@given(calls())
+def test_float_evaluators_return_finite_values_or_raise_value_errors(call):
+    try:
+        value = _evaluate(*call)
+    except ValueError:
+        # DomainError and SingularityError are ValueErrors too
+        return
+    assert _is_finite(value), f"{call} -> {value}"

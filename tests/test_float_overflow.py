@@ -1,9 +1,10 @@
-"""A closed-form value beyond the float range is a ValueError (CLI exit 2).
+"""A generating-function value beyond the float range is a ValueError (CLI exit 2).
 
 Before, `math.exp` and `cmath.exp` raised an uncaught OverflowError, whose
 traceback exits 1: the code `verify` uses for failed checks.  Under
 unsafe_domain a kernel, denominator or value that is inf or NaN is the same
-ValueError; it used to come back as NaN, inf or a silent 0.
+ValueError; it used to come back as NaN, inf or a silent 0.  The partial sums,
+which take any finite point, follow the same rule.
 """
 
 import subprocess
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 from gtbasis import (FACTORIAL, PLAIN, SingularityError, gf_harm_closed, gf_harm_closed_m3,
-                     gf_mon_closed, gf_mon_closed_m3)
+                     gf_harm_partial_sum, gf_mon_closed, gf_mon_closed_m3, gf_mon_partial_sum)
 
 # x_1 * h_2 = +/-5e307 in either sign of h_2: exp of it overflows
 OVERFLOWING = [([0.5, 0.0, 0.0], [1e308, 0.1]), ([-0.5, 0.0, 0.0], [-1e308, 0.1])]
@@ -177,3 +178,29 @@ def test_cli_infinite_phase_of_the_reported_call_exits_2():
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "overflows the float range" in proc.stderr
+
+
+# -- the partial sums follow the same rule -------------------------------------------
+
+
+@pytest.mark.parametrize("evaluate, args", [
+    # h_2^2 = 1e600: the power itself raises OverflowError
+    (gf_mon_partial_sum, (2, [0.5, 0.5], [1e300], 3)),
+    # x_1^2 = 1e400 in |x|_3^2 of the dimension-3 F table
+    (gf_harm_partial_sum, (3, [1e200, 0.0, 0.0], [0.1, 0.1], 1)),
+])
+def test_partial_sum_power_overflow_is_an_overflow_error(evaluate, args):
+    with pytest.raises(ValueError, match="overflows the float range") as info:
+        evaluate(*args)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+@pytest.mark.parametrize("evaluate, args", [
+    # the k_2 = 2 term (1e308 + 1e-300 i)^2 / 2 * h_2^2 comes out as inf + NaN i
+    (gf_harm_partial_sum, (2, [1e308, 1e-300], [-0.84], 2)),
+    # the k_3 = 1 term of the scalar part, 2 * x_3 * h_3 = 1.8e308, is +inf
+    (gf_mon_partial_sum, (3, [0.9, 0.1, 0.9], [0.1, 1e308], 1)),
+])
+def test_non_finite_partial_sum_is_an_overflow_error(evaluate, args):
+    with pytest.raises(ValueError, match="overflows the float range"):
+        evaluate(*args)

@@ -9,6 +9,8 @@ computed before the tables.
 The monogenic sum keeps its value at dimension r in R_{0,r}.  It must give the
 bits of the full-width loop it replaced, copied below: every level a dense list
 of all 2^m blades, U_r applied to all of them, and (a*c + b*u)*h^k per blade.
+The harmonic sum must likewise give the bits of the list-at-a-time loop copied
+below, with each F row reading x_r and |x|_r^2 afresh.
 """
 
 import math
@@ -205,3 +207,57 @@ def test_mon_partial_sum_is_bit_identical_to_the_full_width_loop(m, norm):
             expected = full_width_mon_partial_sum(m, x, h, order, norm)
             assert value.dim == expected.dim == m
             assert value.terms == expected.terms
+
+
+def _per_row_f_table(m, order, x):
+    """table[j][k] = F^(k)_{m,j}(x), each row computing x_m and |x|_m^2 itself."""
+    table = []
+    for j in range(order + 1):
+        nu = m / 2.0 + j - 1.0
+        r2 = sum(float(x[i]) ** 2 for i in range(m))
+        xm = float(x[m - 1])
+        prev, cur = 0.0, 1.0
+        row = [cur]
+        for n in range(1, order - j + 1):
+            prev, cur = cur, (2.0 * (n + nu - 1.0) * xm * cur
+                              - (n + 2.0 * nu - 2.0) * r2 * prev) / n
+            row.append(cur)
+        table.append(row)
+    return table
+
+
+def list_at_a_time_harm_partial_sum(m, x, h, order, sign, norm):
+    powers = [complex(1.0)]
+    for k2 in range(1, order + 1):
+        nxt = powers[-1] * complex(x[0], sign * x[1])
+        if norm == FACTORIAL:
+            nxt = nxt * (1.0 / k2)
+        powers.append(nxt)
+    level = [[z * h[0] ** s] for s, z in enumerate(powers)]
+    for r in range(3, m + 1):
+        table = _per_row_f_table(r, order, x)
+        hpow = [h[r - 2] ** kr for kr in range(order + 1)]
+        nxt = []
+        for s in range(order + 1):
+            lower = [0.0]
+            for kr in range(s + 1):
+                j = s - kr
+                a, hk = table[j][kr], hpow[kr]
+                lower = [t + a * c * hk for t, c in zip(lower, level[j])]
+            nxt.append(lower)
+        level = nxt
+    total = [0.0]
+    for v in level:
+        total = [t + c for t, c in zip(total, v)]
+    return total[0]
+
+
+@pytest.mark.parametrize("norm", [FACTORIAL, PLAIN])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_harm_partial_sum_is_bit_identical_to_the_list_at_a_time_loop(m, norm):
+    for x, h in _seeded_points(m, norm):
+        for order in (0, 1, 5, 12, 30):
+            for sign in (+1, -1):
+                value = gf_harm_partial_sum(m, x, h, order, sign, norm)
+                expected = list_at_a_time_harm_partial_sum(m, x, h, order, sign, norm)
+                assert repr(value) == repr(expected)
