@@ -10,8 +10,7 @@ from .ballint import (gamma_half, inner_harm, inner_mon, inner_mon_full,
                       monomial_ball_integral, pi_power)
 from .clifford import Multivector, blade_name, blade_product
 from .errors import DomainError, SingularityError
-from .gegenbauer import (GegenbauerPoly, gegenbauer_eval, gegenbauer_poly,
-                         gf_value, series_oracle)
+from .gegenbauer import GegenbauerPoly, gegenbauer_poly, gf_value, series_oracle
 from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, embedding_F,
                         embedding_f_value, enumerate_harm_indices, gf_harm_closed,
                         gf_harm_closed_m3, gf_harm_partial_sum, gf_harm_series,
@@ -32,7 +31,7 @@ __all__ = [
     "SingularityError", "binom_frac", "binomial_expand", "blade_name",
     "blade_product", "embedding_F", "embedding_X", "embedding_f_value",
     "embedding_x_value", "enumerate_harm_indices", "enumerate_mon_indices",
-    "exp_series", "gamma_half", "gegenbauer_eval", "gegenbauer_poly",
+    "exp_series", "gamma_half", "gegenbauer_poly",
     "gf_harm_closed", "gf_harm_closed_m3", "gf_harm_partial_sum",
     "gf_harm_series", "gf_mon_closed", "gf_mon_closed_m3",
     "gf_mon_partial_sum", "gf_mon_series", "gf_value", "harm_basis",

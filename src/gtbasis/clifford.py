@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import GaussianRational, conj_scalar, format_gaussian, make_gaussian
+from .scalars import GaussianRational, format_gaussian
 
 SCALAR_BLADE = 0
 
@@ -210,34 +210,12 @@ class Multivector:
     def scale(self, factor):
         return Multivector(self.dim, {m: factor * c for m, c in self.terms.items()})
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Multivector.scalar(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> "Multivector":
         """Clifford conjugation: grade r scaled by (-1)^(r(r+1)/2); conj(ab) = conj(b)conj(a)."""
         return Multivector(self.dim, {mask: -coeff if conjugation_sign(mask) < 0 else coeff
                                       for mask, coeff in self.terms.items()})
 
-    def conjugate_scalars(self) -> "Multivector":
-        """Complex conjugation of the coefficients only (i -> -i)."""
-        return Multivector(self.dim, {m: conj_scalar(c) for m, c in self.terms.items()})
-
     # -- conversions -------------------------------------------------------
-
-    def embed(self, dim: int) -> "Multivector":
-        """Reinterpret in a larger algebra R_{0,dim}; blades are unchanged."""
-        if dim < self.dim:
-            raise ValueError("cannot embed into a smaller algebra")
-        return Multivector(dim, dict(self.terms))
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
@@ -274,31 +252,3 @@ class Multivector:
                     ctxt = f"({ctxt})"
                 parts.append(f"{ctxt}*{blade_name(mask)}")
         return " + ".join(parts).replace("+ -", "- ")
-
-    def to_json(self) -> dict:
-        if not self.is_exact():
-            raise TypeError("only exact multivectors serialize to JSON")
-        entries = []
-        for mask in sorted(self.terms):
-            coeff = self.terms[mask]
-            if isinstance(coeff, GaussianRational):
-                re, im = coeff.re, coeff.im
-            else:
-                re, im = Fraction(coeff), Fraction(0)
-            entry = {"blade": mask, "num": re.numerator, "den": re.denominator}
-            if im:
-                entry["inum"] = im.numerator
-                entry["iden"] = im.denominator
-            entries.append(entry)
-        return {"dim": self.dim, "terms": entries}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Multivector":
-        terms = {}
-        for entry in data["terms"]:
-            re = Fraction(entry["num"], entry["den"])
-            im = Fraction(entry.get("inum", 0), entry.get("iden", 1))
-            coeff = make_gaussian(re, im)
-            mask = entry["blade"]
-            terms[mask] = terms.get(mask, 0) + coeff
-        return cls(data["dim"], terms)

@@ -34,9 +34,6 @@ class GegenbauerPoly:
             acc = acc * t + c
         return acc
 
-    def degree(self) -> int:
-        return self.k
-
 
 def _check_nu(nu: Fraction) -> Fraction:
     nu = Fraction(nu)
@@ -65,21 +62,6 @@ def gegenbauer_poly(nu: Fraction, k: int) -> GegenbauerPoly:
     for i, c in enumerate(prev2):
         coeffs[i] -= b * c
     return GegenbauerPoly(nu, k, tuple(coeffs))
-
-
-def gegenbauer_eval(nu: Fraction, k: int, t):
-    """Value C_k^nu(t) by the forward recurrence; exact for Fraction t, float for float t."""
-    nu = _check_nu(nu)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if isinstance(t, float):
-        nu = float(nu)
-    c_prev, c_cur = 1, 2 * nu * t
-    if k == 0:
-        return t * 0 + 1
-    for n in range(2, k + 1):
-        c_prev, c_cur = c_cur, (2 * t * (n + nu - 1) * c_cur - (n + 2 * nu - 2) * c_prev) / n
-    return c_cur
 
 
 def series_oracle(nu: Fraction, order: int) -> list[tuple[Fraction, ...]]:

@@ -346,19 +346,28 @@ def gf_harm_closed(m: int, x, h, sign=+1, normalization: str = FACTORIAL,
     return _closed_form(m, x, h, 1, sign, normalization, unsafe_domain)[2]
 
 
-def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
-                      unsafe_domain: bool = False) -> complex:
-    """Literal m = 3 closed formula: d^(-1/2) * exp((x_1 +/- i*x_2) h_2 / d)."""
-    sign = _norm_sign(sign)
-    _check_norm(normalization)
+def _kernel_m3(x, h, unsafe_domain: bool):
+    """The checked point of a literal m = 3 formula and d_3 = 1 - 2*x_3*h_3 + h_3^2*|x|^2.
+
+    Returns (x, h, d_3); the raises are those of _descend at r = 3.
+    """
     x, h = _check_point(3, x, h, unsafe_domain)
     x1, x2, x3 = x
-    h2, h3 = h
+    h3 = h[1]
     d = 1.0 - 2.0 * x3 * h3 + h3 * h3 * (x1 * x1 + x2 * x2 + x3 * x3)
     if not math.isfinite(d):
         raise ValueError(FLOAT_OVERFLOW)
     if d <= 0.0:
         raise SingularityError(f"kernel d_3 = {d} is not positive")
+    return x, h, d
+
+
+def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
+                      unsafe_domain: bool = False) -> complex:
+    """Literal m = 3 closed formula: d^(-1/2) * exp((x_1 +/- i*x_2) h_2 / d)."""
+    sign = _norm_sign(sign)
+    _check_norm(normalization)
+    (x1, x2, _), (h2, _), d = _kernel_m3(x, h, unsafe_domain)
     if normalization == FACTORIAL:
         try:
             value = d ** -0.5 * _exp(complex(x1 * h2 / d, sign * x2 * h2 / d))
@@ -366,11 +375,7 @@ def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
             raise ValueError(FLOAT_OVERFLOW) from exc
     else:
         g = h2 / d
-        denom = 1.0 - 2.0 * x1 * g + g * g * (x1 * x1 + x2 * x2)
-        if not math.isfinite(denom):
-            raise ValueError(FLOAT_OVERFLOW)
-        if denom <= 0.0:
-            raise SingularityError("plain base denominator vanished")
+        denom = _plain_denominator(x1, x2, g)
         value = d ** -0.5 * (1.0 - complex(x1, -sign * x2) * g) / denom
     if not cmath.isfinite(value):
         raise ValueError(FLOAT_OVERFLOW)
@@ -434,7 +439,10 @@ def _f_table(m: int, order: int, x) -> list:
 
 
 def embedding_f_value(m: int, j: int, k: int, x) -> float:
-    """Float value of F^(k)_{m,j} at a point (first m coordinates of x are used)."""
+    """Float value of F^(k)_{m,j} at a point (first m coordinates of x are used).
+
+    A value that is not finite is a FLOAT_OVERFLOW ValueError.
+    """
     if m < 3:
         raise ValueError("embedding factors need m >= 3")
     if j < 0:
@@ -443,7 +451,10 @@ def embedding_f_value(m: int, j: int, k: int, x) -> float:
         raise ValueError("k must be >= -1")
     if k == -1:
         return 0.0
-    return _f_row(m, j, k, *_f_inputs(m, x))[k]
+    value = _f_row(m, j, k, *_f_inputs(m, x))[k]
+    if not math.isfinite(value):
+        raise ValueError(FLOAT_OVERFLOW)
+    return value
 
 
 def _base_powers(base, one, order: int, normalization: str) -> list:

@@ -58,39 +58,9 @@ class HSeries:
         k = tuple(k)
         return self.terms.get(k, MPoly.zero(self.m, self.ring))
 
-    def truncate(self, order: int) -> "HSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return HSeries(self.m, order, self.ring,
-                       {k: p for k, p in self.terms.items() if sum(k) <= order})
-
     def _require_same(self, other: "HSeries") -> None:
         if self.m != other.m or self.ring != other.ring:
             raise ValueError("series dimension/ring mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        self._require_same(other)
-        order = min(self.order, other.order)
-        terms = {k: p for k, p in self.terms.items() if sum(k) <= order}
-        for k, poly in other.terms.items():
-            if sum(k) > order:
-                continue
-            if k in terms:
-                terms[k] = terms[k] + poly
-            else:
-                terms[k] = poly
-        return HSeries(self.m, order, self.ring, terms)
-
-    def __neg__(self):
-        return HSeries(self.m, self.order, self.ring,
-                       {k: -p for k, p in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         """Cauchy product; factor order is preserved for non-commutative rings."""
@@ -269,12 +239,7 @@ def lift_step(series: HSeries, order: int) -> HSeries:
         for j, q in enumerate(expansion):
             if q.is_zero():
                 continue
-            k = kprev + (j,)
-            prod = q * lifted
-            if k in acc:
-                acc[k] = acc[k] + prod
-            else:
-                acc[k] = prod
+            acc[kprev + (j,)] = q * lifted
     out = HSeries(m, order, ring, acc)
     if ring == CLIFFORD:
         out = _monogenic_prefactor(m, order) * out

@@ -31,11 +31,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import E12, Multivector, blade_product
-from .errors import SingularityError
 from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base2, _base2_value,
                         _base_powers, _basis_product, _check_norm, _check_point,
-                        _closed_form, _gf_series, _Index, _partial_sum, embedding_F,
-                        embedding_f_value, iter_multi_indices)
+                        _closed_form, _gf_series, _Index, _kernel_m3, _partial_sum,
+                        embedding_F, embedding_f_value, iter_multi_indices)
 from .hseries import HSeries, _underline_x_em
 from .mvpoly import CLIFFORD, MPoly
 
@@ -134,14 +133,7 @@ def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
                      unsafe_domain: bool = False) -> Multivector:
     """Literal m = 3 closed formula (1 + x h_3 e_3) d^(-3/2) exp((x_1 - e_12 x_2) h_2 / d)."""
     _check_norm(normalization)
-    x, h = _check_point(3, x, h, unsafe_domain)
-    x1, x2, x3 = x
-    h2, h3 = h
-    d = 1.0 - 2.0 * x3 * h3 + h3 * h3 * (x1 * x1 + x2 * x2 + x3 * x3)
-    if not math.isfinite(d):
-        raise ValueError(FLOAT_OVERFLOW)
-    if d <= 0.0:
-        raise SingularityError(f"kernel d_3 = {d} is not positive")
+    (x1, x2, x3), (h2, h3), d = _kernel_m3(x, h, unsafe_domain)
     prefactor = Multivector(3, {0: 1.0 - x3 * h3,
                                 0b101: x1 * h3,
                                 0b110: x2 * h3})
@@ -162,7 +154,10 @@ def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries
 
 
 def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:
-    """Float value of X^(k)_{m,j} at a point, inside R_{0,top}."""
+    """Float value of X^(k)_{m,j} at a point, inside R_{0,top}.
+
+    A coefficient that is not finite is a FLOAT_OVERFLOW ValueError.
+    """
     f0 = embedding_f_value(m, j, k, x)
     f1 = embedding_f_value(m, j + 1, k - 1, x)
     scale = (m - 2 + k + 2 * j) / (m - 2 + 2 * j)
@@ -170,6 +165,8 @@ def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:
     terms = {0: scale * f0}
     for i in range(1, m):
         terms[(1 << (i - 1)) | em] = f1 * float(x[i - 1])
+    if not all(map(math.isfinite, terms.values())):
+        raise ValueError(FLOAT_OVERFLOW)
     return Multivector(top, terms)
 
 

@@ -201,12 +201,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    def total_degree(self):
-        """Largest total degree, or None for the zero polynomial."""
-        if not self.num:
-            return None
-        return max(sum(exps) for exps, _ in self.num)
-
     def is_homogeneous(self, degree: int) -> bool:
         """True when every term has the given total degree (zero passes for all)."""
         return all(sum(exps) == degree for exps, _ in self.num)
@@ -522,13 +516,10 @@ class MPoly:
         return cls._make(dim, ring, acc)
 
 
-def radius_squared(dim: int, upto: int | None = None, ring: str = GAUSSIAN) -> MPoly:
-    """|x|_r^2 = x_1^2 + ... + x_r^2 as a polynomial in dim variables (r defaults to dim)."""
-    r = dim if upto is None else upto
-    if not 1 <= r <= dim:
-        raise ValueError("upto out of range")
+def radius_squared(dim: int, ring: str = GAUSSIAN) -> MPoly:
+    """|x|^2 = x_1^2 + ... + x_dim^2 as a polynomial in dim variables."""
     terms = {}
-    for j in range(r):
+    for j in range(dim):
         exps = tuple(2 if i == j else 0 for i in range(dim))
         terms[exps] = 1
     return MPoly(dim, ring, terms)

@@ -164,13 +164,6 @@ def format_gaussian(value) -> str:
     return f"{re}{sign}{imtxt}"
 
 
-def conj_scalar(value):
-    """Complex conjugate of an exact scalar (identity on rationals)."""
-    if isinstance(value, GaussianRational):
-        return value.conjugate()
-    return Fraction(value)
-
-
 @lru_cache(maxsize=None)
 def binom_frac(alpha: Fraction, n: int) -> Fraction:
     """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-n+1)/n!."""

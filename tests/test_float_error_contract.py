@@ -1,7 +1,7 @@
 """The error contract of the float evaluators on inputs from the whole float range.
 
-Every closed form and partial sum either returns a finite value or raises a
-ValueError: DomainError, SingularityError or the overflow ValueError.  It never
+Every closed form, partial sum and embedding-factor value either returns a
+finite value or raises a ValueError: DomainError, SingularityError or the overflow ValueError.  It never
 lets an OverflowError or ZeroDivisionError escape and never returns NaN or inf.
 Coordinates mix signed zeros, subnormals, magnitudes 1e10..1e308 and values in
 [-1, 1]; half the closed-form calls lift the convergence-box check.
@@ -13,9 +13,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtbasis import (FACTORIAL, PLAIN, Multivector, gf_harm_closed, gf_harm_closed_m3,
-                     gf_harm_partial_sum, gf_mon_closed, gf_mon_closed_m3,
-                     gf_mon_partial_sum)
+from gtbasis import (FACTORIAL, PLAIN, Multivector, embedding_f_value, embedding_x_value,
+                     gf_harm_closed, gf_harm_closed_m3, gf_harm_partial_sum, gf_mon_closed,
+                     gf_mon_closed_m3, gf_mon_partial_sum)
 
 CONTRACT_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True,
                              database=None)
@@ -67,5 +67,27 @@ def test_float_evaluators_return_finite_values_or_raise_value_errors(call):
         value = _evaluate(*call)
     except ValueError:
         # DomainError and SingularityError are ValueErrors too
+        return
+    assert _is_finite(value), f"{call} -> {value}"
+
+
+@st.composite
+def factor_calls(draw):
+    evaluate = draw(st.sampled_from(["f", "x"]))
+    m = draw(st.integers(3, 5))
+    x = draw(st.lists(coordinates, min_size=m, max_size=m))
+    return evaluate, m, draw(st.integers(0, 4)), draw(st.integers(0, 30)), x
+
+
+@CONTRACT_SETTINGS
+@given(factor_calls())
+def test_embedding_factor_values_are_finite_or_raise_value_errors(call):
+    evaluate, m, j, k, x = call
+    try:
+        if evaluate == "f":
+            value = embedding_f_value(m, j, k, x)
+        else:
+            value = embedding_x_value(m, m, j, k, x)
+    except ValueError:
         return
     assert _is_finite(value), f"{call} -> {value}"

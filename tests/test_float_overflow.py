@@ -12,8 +12,9 @@ import sys
 
 import pytest
 
-from gtbasis import (FACTORIAL, PLAIN, SingularityError, gf_harm_closed, gf_harm_closed_m3,
-                     gf_harm_partial_sum, gf_mon_closed, gf_mon_closed_m3, gf_mon_partial_sum)
+from gtbasis import (FACTORIAL, PLAIN, SingularityError, embedding_f_value, embedding_x_value,
+                     gf_harm_closed, gf_harm_closed_m3, gf_harm_partial_sum, gf_mon_closed,
+                     gf_mon_closed_m3, gf_mon_partial_sum)
 
 # x_1 * h_2 = +/-5e307 in either sign of h_2: exp of it overflows
 OVERFLOWING = [([0.5, 0.0, 0.0], [1e308, 0.1]), ([-0.5, 0.0, 0.0], [-1e308, 0.1])]
@@ -202,5 +203,20 @@ def test_partial_sum_power_overflow_is_an_overflow_error(evaluate, args):
     (gf_mon_partial_sum, (3, [0.9, 0.1, 0.9], [0.1, 1e308], 1)),
 ])
 def test_non_finite_partial_sum_is_an_overflow_error(evaluate, args):
+    with pytest.raises(ValueError, match="overflows the float range"):
+        evaluate(*args)
+
+
+# -- the embedding-factor evaluators -------------------------------------------------
+
+
+@pytest.mark.parametrize("evaluate, args", [
+    # |x|_3^2 = 2e200 is finite, but the recurrence meets inf - inf: the value was NaN
+    (embedding_f_value, (3, 0, 30, [1e100, 0.0, 1e100])),
+    (embedding_f_value, (3, 0, 3, [0.0, 0.0, 1e120])),
+    # F^(2)_{3,1} * x_1 is -inf on the e13 blade
+    (embedding_x_value, (3, 3, 0, 3, [1e120, 0.0, 1e60])),
+])
+def test_non_finite_embedding_factor_is_an_overflow_error(evaluate, args):
     with pytest.raises(ValueError, match="overflows the float range"):
         evaluate(*args)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import gegenbauer_eval, gegenbauer_poly, gf_value, series_oracle
+from gtbasis import gegenbauer_poly, gf_value, series_oracle
 
 NUS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
 
@@ -22,26 +22,18 @@ def test_known_small_polynomials():
 
 
 def test_eval_order_zero():
-    assert gegenbauer_eval(Fraction(7, 2), 0, Fraction(1, 3)) == 1
-    assert gegenbauer_eval(Fraction(7, 2), 0, 0.25) == 1
+    assert gegenbauer_poly(Fraction(7, 2), 0)(Fraction(1, 3)) == 1
+    assert gegenbauer_poly(Fraction(7, 2), 0)(0.25) == 1
 
 
 def test_legendre_at_one():
     # GF at t=1 is (1-h)^(-1), so every coefficient equals 1
     for k in range(11):
-        assert gegenbauer_eval(Fraction(1, 2), k, Fraction(1)) == 1
+        assert gegenbauer_poly(Fraction(1, 2), k)(Fraction(1)) == 1
 
 
 def test_eval_root_of_c2():
-    assert gegenbauer_eval(Fraction(1), 2, Fraction(1, 2)) == 0
-
-
-def test_eval_matches_polynomial():
-    for nu in NUS:
-        for k in range(9):
-            poly = gegenbauer_poly(nu, k)
-            for t in (Fraction(-2, 3), Fraction(0), Fraction(3, 4)):
-                assert gegenbauer_eval(nu, k, t) == poly(t)
+    assert gegenbauer_poly(Fraction(1), 2)(Fraction(1, 2)) == 0
 
 
 def test_recurrence_equals_series_oracle():
@@ -80,5 +72,3 @@ def test_float_generating_function_grid():
 def test_nonpositive_nu_rejected():
     with pytest.raises(ValueError):
         gegenbauer_poly(Fraction(0), 2)
-    with pytest.raises(ValueError):
-        gegenbauer_eval(Fraction(-1, 2), 1, Fraction(0))

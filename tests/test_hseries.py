@@ -123,7 +123,8 @@ def test_lift_of_exp_base():
 def test_truncation_consistency():
     base = exp_series(x(2, 1) + x(2, 2).scale(I), 4)
     full = lift_step(base, 4)
-    assert full.truncate(2) == lift_step(base, 2)
+    low = {k: p for k, p in full.terms.items() if sum(k) <= 2}
+    assert low == lift_step(base, 2).terms
 
 
 def test_cauchy_product_associative():

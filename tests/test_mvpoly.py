@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, MPoly, Multivector,
-                     harm_basis, make_gaussian, radius_squared)
+                     harm_basis, make_gaussian)
 
 I = make_gaussian(0, 1)
 
@@ -100,7 +100,6 @@ def test_homogeneity():
 
 def test_zero_polynomial_degree_is_undefined():
     zero = MPoly.zero(3)
-    assert zero.total_degree() is None
     assert zero.is_homogeneous(0) and zero.is_homogeneous(5)
 
 
@@ -136,11 +135,6 @@ def test_eval_is_ring_homomorphism():
 def test_eval_arity_mismatch():
     with pytest.raises(ValueError):
         x(3, 1).eval((1, 2))
-
-
-def test_radius_squared_prefix():
-    r2 = radius_squared(4, upto=3)
-    assert r2 == x(4, 1) ** 2 + x(4, 2) ** 2 + x(4, 3) ** 2
 
 
 def test_json_round_trip_gaussian():
