@@ -1,10 +1,14 @@
 """Command-line interface: basis construction, generating functions, verification.
 
-Exit codes: 0 success, 2 invalid index/arguments or a generating-function
-value beyond the float range, 3 evaluation point outside the certified domain
-(override with --unsafe-domain), 4 singular kernel (d_m <= 0).  Structured
-output is JSON on stdout; suite timings go to stderr so that reports are
-byte-identical for identical flags and seed.
+Structured output is JSON on stdout; errors and suite timings go to stderr,
+so that reports are byte-identical for identical flags and seed.  `main` is
+the one place that turns an exception into an exit code:
+
+    0  success
+    1  `verify` found a failing check
+    2  invalid input, or a value beyond the float range (ValueError)
+    3  point outside the certified domain (DomainError; see --unsafe-domain)
+    4  singular kernel, d_m <= 0 (SingularityError)
 """
 
 from __future__ import annotations
@@ -14,32 +18,31 @@ import json
 import sys
 
 from .errors import DomainError, SingularityError
-from .harmonics import (FACTORIAL, PLAIN, BasisIndex, gf_harm_closed,
+from .harmonics import (FACTORIAL, PLAIN, BasisIndex, _norm_sign, gf_harm_closed,
                         gf_harm_series, harm_basis)
 from .monogenics import MonIndex, gf_mon_closed, gf_mon_series, mon_basis
 from .clifford import blade_name
 
 
-def _parse_csv_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+def _csv_parser(cast, what: str):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(part) for part in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from exc
+    return parse
 
 
-def _parse_csv_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+_parse_csv_ints = _csv_parser(int, "integers")
+_parse_csv_floats = _csv_parser(float, "numbers")
 
 
 def _sign_value(text: str) -> int:
-    if text in ("+", "plus"):
-        return +1
-    if text in ("-", "minus"):
-        return -1
-    raise argparse.ArgumentTypeError("sign must be + or - (use --sign=-)")
+    try:
+        return _norm_sign(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("sign must be + or - (use --sign=-)") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,20 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_basis(args) -> int:
-    try:
-        if len(args.k) != args.m - 1:
-            raise ValueError(f"--k needs {args.m - 1} entries for --m {args.m}")
-        if args.kind == "harm":
-            poly = harm_basis(BasisIndex(args.k, args.sign, args.norm))
-        else:
-            poly = mon_basis(MonIndex(args.k, args.norm))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps(poly.to_json(), sort_keys=True))
+    if len(args.k) != args.m - 1:
+        raise ValueError(f"--k needs {args.m - 1} entries for --m {args.m}")
+    if args.kind == "harm":
+        poly = harm_basis(BasisIndex(args.k, args.sign, args.norm))
     else:
-        print(poly.to_text())
+        poly = mon_basis(MonIndex(args.k, args.norm))
+    print(json.dumps(poly.to_json(), sort_keys=True) if args.format == "json" else poly.to_text())
     return 0
 
 
@@ -117,13 +113,49 @@ def _format_complex(value: complex) -> str:
 
 
 def _cmd_genfun_eval(args) -> int:
+    if args.kind == "harm":
+        value = gf_harm_closed(args.m, args.x, args.h, args.sign, args.norm,
+                               unsafe_domain=args.unsafe_domain)
+        data, text = {"re": value.real, "im": value.imag}, _format_complex(value)
+    else:
+        value = gf_mon_closed(args.m, args.x, args.h, args.norm,
+                              unsafe_domain=args.unsafe_domain)
+        data = {"terms": [{"blade": mask, "e": blade_name(mask), "value": coeff}
+                          for mask, coeff in sorted(value.terms.items())]}
+        text = value.to_text()
+    print(json.dumps(data, sort_keys=True) if args.format == "json" else text)
+    return 0
+
+
+def _cmd_genfun_series(args) -> int:
+    if args.kind == "harm":
+        series = gf_harm_series(args.m, args.order, args.sign, args.norm)
+    else:
+        series = gf_mon_series(args.m, args.order, args.norm)
+    print(json.dumps(series.to_json(), sort_keys=True))
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    from .verify import run_verify  # imported here so that other commands never load it
+
+    report, timings = run_verify((args.suite,), args.m_max, args.deg_max, args.order, args.seed)
+    print(json.dumps(report, sort_keys=True))
+    print(f"verify: {report['counts']['pass']} passed, "
+          f"{report['counts']['fail']} failed in {timings['total']:.2f}s",
+          file=sys.stderr)
+    return 0 if report["overall"] == "pass" else 1
+
+
+def main(argv=None) -> int:
+    """Run one command; a ValueError it raises becomes exit code 2, 3 or 4 (see above)."""
+    args = build_parser().parse_args(argv)
+    if args.command == "genfun":
+        command = _cmd_genfun_eval if args.genfun_command == "eval" else _cmd_genfun_series
+    else:
+        command = _cmd_basis if args.command == "basis" else _cmd_verify
     try:
-        if args.kind == "harm":
-            value = gf_harm_closed(args.m, args.x, args.h, args.sign, args.norm,
-                                   unsafe_domain=args.unsafe_domain)
-        else:
-            value = gf_mon_closed(args.m, args.x, args.h, args.norm,
-                                  unsafe_domain=args.unsafe_domain)
+        return command(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
@@ -133,59 +165,6 @@ def _cmd_genfun_eval(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.kind == "harm":
-        if args.format == "json":
-            print(json.dumps({"re": value.real, "im": value.imag}, sort_keys=True))
-        else:
-            print(_format_complex(value))
-    else:
-        components = [{"blade": mask, "e": blade_name(mask), "value": coeff}
-                      for mask, coeff in sorted(value.terms.items())]
-        if args.format == "json":
-            print(json.dumps({"terms": components}, sort_keys=True))
-        else:
-            print(value.to_text())
-    return 0
-
-
-def _cmd_genfun_series(args) -> int:
-    try:
-        if args.kind == "harm":
-            series = gf_harm_series(args.m, args.order, args.sign, args.norm)
-        else:
-            series = gf_mon_series(args.m, args.order, args.norm)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(series.to_json(), sort_keys=True))
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    from .verify import run_verify  # imported here so that other commands never load it
-
-    try:
-        report, timings = run_verify((args.suite,), args.m_max, args.deg_max,
-                                     args.order, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(report, sort_keys=True))
-    print(f"verify: {report['counts']['pass']} passed, "
-          f"{report['counts']['fail']} failed in {timings['total']:.2f}s",
-          file=sys.stderr)
-    return 0 if report["overall"] == "pass" else 1
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "basis":
-        return _cmd_basis(args)
-    if args.command == "genfun":
-        if args.genfun_command == "eval":
-            return _cmd_genfun_eval(args)
-        return _cmd_genfun_series(args)
-    return _cmd_verify(args)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
-"""Exceptions shared across the generating-function evaluators."""
+"""Exceptions and error texts shared across the generating-function evaluators."""
+
+FLOAT_OVERFLOW = "the generating-function value overflows the float range"
 
 
 class DomainError(ValueError):

@@ -13,10 +13,12 @@ rest of the package).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import FLOAT_OVERFLOW
 from .scalars import binom_frac
 
 
@@ -36,7 +38,10 @@ class GegenbauerPoly:
 
 
 def _check_nu(nu: Fraction) -> Fraction:
-    nu = Fraction(nu)
+    try:
+        nu = Fraction(nu)
+    except OverflowError as exc:  # Fraction(inf)
+        raise ValueError(f"nu must be finite, got {nu}") from exc
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     return nu
@@ -101,8 +106,20 @@ def series_oracle(nu: Fraction, order: int) -> list[tuple[Fraction, ...]]:
 
 
 def gf_value(nu, t: float, h: float) -> float:
-    """Closed-form generating function (1 - 2*t*h + h^2)^(-nu) for floats."""
+    """Closed-form generating function (1 - 2*t*h + h^2)^(-nu) for floats.
+
+    t and h must be finite.  A kernel or value beyond the float range is a
+    FLOAT_OVERFLOW ValueError.
+    """
+    exponent = -float(_check_nu(nu))
+    if not (math.isfinite(t) and math.isfinite(h)):
+        raise ValueError("t and h must be finite")
     base = 1.0 - 2.0 * t * h + h * h
+    if math.isnan(base):  # inf - inf: the kernel overflowed
+        raise ValueError(FLOAT_OVERFLOW)
     if base <= 0:
         raise ValueError("generating-function kernel is not positive")
-    return base ** (-float(nu))
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise ValueError(FLOAT_OVERFLOW) from exc

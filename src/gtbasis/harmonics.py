@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import E12
-from .errors import DomainError, SingularityError
+from .errors import FLOAT_OVERFLOW, DomainError, SingularityError
 from .gegenbauer import gegenbauer_poly
 from .hseries import HSeries, exp_series, lift_step, power_series
 from .mvpoly import GAUSSIAN, MPoly, radius_squared
@@ -39,8 +39,6 @@ FACTORIAL = "factorial"
 PLAIN = "plain"
 
 _NORMS = (FACTORIAL, PLAIN)
-
-FLOAT_OVERFLOW = "the generating-function value overflows the float range"
 
 
 def _norm_sign(sign) -> int:
@@ -59,6 +57,8 @@ def _check_norm(normalization: str) -> str:
 
 def iter_multi_indices(parts: int, total: int):
     """All tuples of `parts` non-negative ints with sum <= total, lexicographic."""
+    if parts < 0:
+        raise ValueError(f"parts must be non-negative, got {parts}")
     if parts == 0:
         yield ()
         return
@@ -237,6 +237,15 @@ def enumerate_harm_indices(m: int, deg_max: int,
 # -- float evaluation ------------------------------------------------------
 
 
+def _sum_squares(values) -> float:
+    """v_1^2 + v_2^2 + ... added left to right, so that every Python gives the
+    same bits (sum() compensates its rounding from 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return total
+
+
 def _check_point(m: int, x, h, unsafe_domain: bool):
     if m < 2:
         raise ValueError("dimension m must be at least 2")
@@ -249,7 +258,7 @@ def _check_point(m: int, x, h, unsafe_domain: bool):
     if not all(map(math.isfinite, x + h)):
         raise ValueError("x and h must be finite")
     if not unsafe_domain:
-        if sum(v * v for v in x) > 1.0 + 1e-12:
+        if _sum_squares(x) > 1.0 + 1e-12:
             raise DomainError("point lies outside the closed unit ball")
         if not _in_box(m, h):
             raise DomainError("h lies outside the certified convergence box")
@@ -266,7 +275,7 @@ def _descend(x, h):
     """
     levels = []
     for r in range(len(x), 2, -1):
-        r2 = sum(v * v for v in x[:r])
+        r2 = _sum_squares(x[:r])
         d = 1.0 - 2.0 * x[r - 1] * h[r - 2] + h[r - 2] * h[r - 2] * r2
         if not math.isfinite(d):
             raise ValueError(FLOAT_OVERFLOW)
@@ -409,10 +418,13 @@ def _f_inputs(m: int, x) -> tuple:
     A square beyond the float range is a FLOAT_OVERFLOW ValueError.
     """
     coords = [float(x[i]) for i in range(m)]
+    r2 = 0.0
     try:
-        return coords[-1], sum(v ** 2 for v in coords)
+        for v in coords:  # left to right, as in _sum_squares; v ** 2 raises on overflow
+            r2 += v ** 2
     except OverflowError as exc:
         raise ValueError(FLOAT_OVERFLOW) from exc
+    return coords[-1], r2
 
 
 def _f_row(m: int, j: int, k_max: int, xm: float, r2: float) -> list:
@@ -445,6 +457,8 @@ def embedding_f_value(m: int, j: int, k: int, x) -> float:
     """
     if m < 3:
         raise ValueError("embedding factors need m >= 3")
+    if len(x) < m:
+        raise ValueError(f"x needs at least {m} coordinates")
     if j < 0:
         raise ValueError("j must be non-negative")
     if k < -1:

@@ -19,10 +19,10 @@ from fractions import Fraction
 
 from ._pcg import PCG64
 from .gegenbauer import gegenbauer_poly, gf_value, series_oracle
-from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _base2, embedding_F,
-                        enumerate_harm_indices, gf_harm_closed, gf_harm_closed_m3,
-                        gf_harm_partial_sum, gf_harm_series, harm_basis,
-                        iter_multi_indices)
+from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _base2, _sum_squares,
+                        embedding_F, enumerate_harm_indices, gf_harm_closed,
+                        gf_harm_closed_m3, gf_harm_partial_sum, gf_harm_series,
+                        harm_basis, iter_multi_indices)
 from .hseries import HSeries, _monogenic_prefactor, binomial_expand, power_series
 from .monogenics import (MonIndex, embedding_X, enumerate_mon_indices,
                          gf_mon_closed, gf_mon_closed_m3, gf_mon_partial_sum,
@@ -87,7 +87,7 @@ def _check_rng(seed: int, name: str, params: dict) -> PCG64:
 def _random_ball_point(rng, m: int) -> list:
     while True:
         x = rng.uniform(-1.0, 1.0, size=m)
-        if sum(v * v for v in x) <= 1.0:
+        if _sum_squares(x) <= 1.0:
             return x
 
 
@@ -272,7 +272,7 @@ def _check_harm_recurrence_step(m: int, norm: str):
         for i in range(NUM_POINTS):
             x = _random_ball_point(rng, m)
             h = _random_h(rng, m, _h2_bound(norm))
-            r2 = sum(v * v for v in x)
+            r2 = _sum_squares(x)
             d = 1.0 - 2.0 * x[-1] * h[-1] + h[-1] ** 2 * r2
             whole = gf_harm_closed(m, x, h, +1, norm)
             inner = gf_harm_closed(m - 1, x[:-1], [v / d for v in h[:-1]], +1, norm,

@@ -83,3 +83,17 @@ def test_singular_kernel_exits_4(m, x, h, norm, kind, fmt):
     assert code == 4
     assert stdout == ""
     assert stderr.startswith("singularity: ")
+
+
+# cli.main maps every ValueError to exit 2, one path per command
+@pytest.mark.parametrize("argv", [
+    ["basis", "--kind", "harm", "--m", "3", "--k", "1,2,3"],
+    ["genfun", "series", "--kind", "mon", "--m", "3", "--order", "-1"],
+    ["genfun", "eval", "--kind", "harm", "--m", "3", "--x=nan,0,0", "--h=0.1,0.1"],
+    ["verify", "--m-max", "1"],
+])
+def test_value_error_exits_2_for_every_command(argv):
+    code, stdout, stderr = _run(argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ")

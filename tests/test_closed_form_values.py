@@ -29,7 +29,9 @@ def sparse_prefactor(m, r, x, hr):
 def sparse_mon_closed(m, x, h, normalization):
     levels = []
     for r in range(m, 2, -1):
-        r2 = sum(v * v for v in x[:r])
+        r2 = 0.0
+        for v in x[:r]:  # left to right, as the library adds (sum() compensates from 3.12)
+            r2 += v * v
         d = 1.0 - 2.0 * x[r - 1] * h[r - 2] + h[r - 2] * h[r - 2] * r2
         levels.append((r, d, h[r - 2]))
         h = [v / d for v in h[: r - 2]]

@@ -9,12 +9,13 @@ which take any finite point, follow the same rule.
 
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gtbasis import (FACTORIAL, PLAIN, SingularityError, embedding_f_value, embedding_x_value,
                      gf_harm_closed, gf_harm_closed_m3, gf_harm_partial_sum, gf_mon_closed,
-                     gf_mon_closed_m3, gf_mon_partial_sum)
+                     gf_mon_closed_m3, gf_mon_partial_sum, gf_value)
 
 # x_1 * h_2 = +/-5e307 in either sign of h_2: exp of it overflows
 OVERFLOWING = [([0.5, 0.0, 0.0], [1e308, 0.1]), ([-0.5, 0.0, 0.0], [-1e308, 0.1])]
@@ -220,3 +221,23 @@ def test_non_finite_partial_sum_is_an_overflow_error(evaluate, args):
 def test_non_finite_embedding_factor_is_an_overflow_error(evaluate, args):
     with pytest.raises(ValueError, match="overflows the float range"):
         evaluate(*args)
+
+
+# -- the Gegenbauer generating function ----------------------------------------------
+
+
+@pytest.mark.parametrize("nu, t, h", [
+    # the kernel is 2e-15 > 0, and its power -100 is beyond the float range
+    (100, 1 - 1e-15, 1 - 1e-15),
+    # 2*t*h and h^2 are both inf: the kernel is inf - inf
+    (1, 1e200, 1e200),
+])
+def test_gegenbauer_gf_value_overflow_is_an_overflow_error(nu, t, h):
+    with pytest.raises(ValueError, match="overflows the float range"):
+        gf_value(nu, t, h)
+
+
+def test_gegenbauer_gf_value_keeps_finite_values():
+    assert gf_value(Fraction(1, 2), 0.3, 0.4) == (1.0 - 2.0 * 0.3 * 0.4 + 0.4 * 0.4) ** -0.5
+    # an infinite kernel has a power that underflows to zero
+    assert gf_value(1, 0.0, 1e200) == 0.0

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from gtbasis import (DomainError, gf_harm_closed, gf_harm_closed_m3, gf_mon_closed,
-                     gf_mon_closed_m3)
+from gtbasis import (DomainError, embedding_f_value, embedding_x_value, enumerate_harm_indices,
+                     enumerate_mon_indices, gf_harm_closed, gf_harm_closed_m3, gf_mon_closed,
+                     gf_mon_closed_m3, gf_value, iter_multi_indices)
 from gtbasis.verify import run_verify
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -79,3 +80,36 @@ def test_cli_verify_out_of_range_parameters_exit_2(flags, name):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert name in proc.stderr
+
+
+@pytest.mark.parametrize("nu, t, h", [
+    (1, math.nan, 0.5),
+    (1, 0.5, math.inf),
+    (1, -math.inf, 0.5),
+    (-1, 0.5, 0.5),
+    (0, 0.5, 0.5),
+    (math.inf, 0.5, 0.5),
+])
+def test_gegenbauer_gf_value_rejects_invalid_arguments(nu, t, h):
+    with pytest.raises(ValueError, match="nu must be|must be finite"):
+        gf_value(nu, t, h)
+
+
+@pytest.mark.parametrize("enumerate_, args", [
+    (lambda *a: list(iter_multi_indices(*a)), (-1, 2)),
+    (enumerate_harm_indices, (0, 2)),
+    (enumerate_mon_indices, (0, 2)),
+])
+def test_negative_parts_are_refused(enumerate_, args):
+    with pytest.raises(ValueError, match="parts must be non-negative"):
+        enumerate_(*args)
+
+
+@pytest.mark.parametrize("evaluate, args", [
+    (embedding_f_value, (3, 0, 2, [0.1, 0.2])),
+    (embedding_f_value, (4, 1, -1, [0.1, 0.2, 0.3])),
+    (embedding_x_value, (3, 3, 0, 2, [0.1, 0.2])),
+])
+def test_embedding_values_need_m_coordinates(evaluate, args):
+    with pytest.raises(ValueError, match="coordinates"):
+        evaluate(*args)
