@@ -4,10 +4,24 @@ The classical formula
 
     integral_{B_m} x^alpha dx = prod_i Gamma((alpha_i+1)/2) / Gamma((|alpha|+m+2)/2)
 
-holds when every alpha_i is even and the integral vanishes otherwise.  All
-Gamma values sit at half-integers, so every integral is an exact rational
-multiple of a power of sqrt(pi) (PiScaled).  Orthogonality of basis
-polynomials therefore reduces to exact-zero assertions with no quadrature.
+holds when every alpha_i is even and the integral vanishes otherwise.  For
+alpha = 2a, Gamma(a_i + 1/2) = sqrt(pi) (2a_i)! / (4^a_i a_i!) turns it into
+
+    integral_{B_m} x^alpha dx = N_alpha * S(m, |alpha|) * pi^(pi_power(m)/2)
+
+with two factors:
+
+* the integer moment N_alpha = prod_i (2a_i)!/a_i!, which depends on alpha
+  alone;
+* the rational scale S(m, d) = 1 / (2^d g), where gamma_half(d + m + 2),
+  that is Gamma((d+m+2)/2), is g sqrt(pi)^(m mod 2); it depends only on the
+  dimension and the total degree d = |alpha|.
+
+So every nonzero integral in dimension m carries the same power of sqrt(pi),
+pi_power(m), and the inner products sum integer weights times N_alpha per
+(blade, total degree), with one multiplication by S per total degree.
+Orthogonality of basis polynomials thus reduces to exact-zero assertions
+with no quadrature.
 """
 
 from __future__ import annotations
@@ -15,9 +29,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, index
 
-from .clifford import E12, Multivector, blade_sign
+from .clifford import E12, Multivector, blade_sign, conjugation_sign
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly
 from .scalars import PiScaled, make_gaussian
 
@@ -25,8 +39,24 @@ __all__ = ["gamma_half", "monomial_ball_integral", "inner_harm", "inner_mon",
            "inner_mon_full", "pi_power"]
 
 
+def _integer(value, what: str) -> int:
+    """value as an int through operator.index; anything non-integral is a ValueError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _dimension(m) -> int:
+    m = _integer(m, "the dimension m")
+    if m < 1:
+        raise ValueError("dimension must be at least 1")
+    return m
+
+
 def gamma_half(n: int) -> PiScaled:
     """Gamma(n/2) for integer n >= 1, exactly: rational times sqrt(pi)^(n mod 2)."""
+    n = _integer(n, "gamma_half's argument")
     if n < 1:
         raise ValueError("gamma_half needs n >= 1")
     if n % 2 == 0:
@@ -38,27 +68,40 @@ def gamma_half(n: int) -> PiScaled:
 
 
 def pi_power(m: int) -> int:
-    """The sqrt(pi) exponent shared by all nonzero ball integrals in dimension m."""
+    """The sqrt(pi) exponent shared by all nonzero ball integrals in dimension m >= 1."""
+    m = _dimension(m)
     return m if m % 2 == 0 else m - 1
+
+
+@lru_cache(maxsize=1 << 16)
+def _moment(alpha: tuple) -> int:
+    """N_alpha = prod_i alpha_i! / (alpha_i/2)! for an all-even exponent vector."""
+    n = 1
+    for a in alpha:
+        n *= math.factorial(a) // math.factorial(a // 2)
+    return n
+
+
+@lru_cache(maxsize=None)
+def _degree_scale(m: int, degree: int) -> Fraction:
+    """S(m, degree): the rational factor shared by every all-even alpha with |alpha| = degree."""
+    return Fraction(1, 2 ** degree) / gamma_half(degree + m + 2).q
 
 
 @lru_cache(maxsize=None)
 def _ball_integral_cached(m: int, alpha: tuple) -> PiScaled:
     if any(a % 2 for a in alpha):
         return PiScaled.zero()
-    num_q = Fraction(1)
-    num_s = 0
-    for a in alpha:
-        g = gamma_half(a + 1)
-        num_q *= g.q
-        num_s += g.s
-    den = gamma_half(sum(alpha) + m + 2)
-    return PiScaled(num_q / den.q, num_s - den.s)
+    return PiScaled(_moment(alpha) * _degree_scale(m, sum(alpha)), pi_power(m))
 
 
 def monomial_ball_integral(m: int, alpha) -> PiScaled:
     """Exact integral of x_1^a1 ... x_m^am over the unit ball in R^m."""
-    alpha = tuple(int(a) for a in alpha)
+    m = _dimension(m)
+    try:
+        alpha = tuple(_integer(a, "an exponent") for a in alpha)
+    except TypeError:
+        raise ValueError("the exponents must be a sequence of integers") from None
     if len(alpha) != m:
         raise ValueError(f"exponent vector needs {m} entries")
     if any(a < 0 for a in alpha):
@@ -71,15 +114,20 @@ def _parity(exps: tuple) -> tuple:
     return tuple(e & 1 for e in exps)
 
 
-def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str) -> dict:
+def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str, scalar_only: bool = False) -> dict:
     """Blade -> sum over term pairs of conj(a) * b * (rational part of the ball integral).
 
-    conj is MPoly.conjugate, Clifford conjugation, which is i -> -i on the
-    gaussian ring's e12.  Every nonzero integral in dimension m carries the
-    same sqrt(pi) power, pi_power(m), which the caller attaches.  The integer
-    weights conj(na) * nb * sign are summed per (blade, exponent vector)
-    first, so each distinct exponent vector is integrated once and the
-    denominators are divided out once at the end.
+    conj is Clifford conjugation, which is i -> -i on the gaussian ring's
+    e12; its sign is read per term of p.  Every nonzero integral in
+    dimension m carries the same sqrt(pi) power, pi_power(m), which the
+    caller attaches.  The integer weights conj(na) * nb * sign are summed per
+    (blade, exponent vector), then times the integer moment N_alpha per
+    (blade, total degree), so the only fractions are one per (blade, total
+    degree) and one division by both denominators per blade.
+
+    With scalar_only, only the scalar blade is computed: conj(e_A) e_B has a
+    scalar part only when A = B, so each p term meets only q terms of its
+    own blade.
     """
     if p.ring != ring or q.ring != ring:
         raise ValueError(f"{caller} needs {ring}-ring polynomials")
@@ -87,24 +135,35 @@ def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str) -> dict:
         raise ValueError("dimension mismatch")
     m = p.dim
     # A pair integrates to zero unless its exponents have the same parity in
-    # every variable, so each p term meets only its own parity bucket of q.
+    # every variable, so each p term meets only its own parity bucket of q;
+    # a bucket is grouped by blade, so each sign is read once per q blade.
     buckets: dict = {}
     for (eb, bb), nb in q.num.items():
-        buckets.setdefault(_parity(eb), []).append((eb, bb, nb))
+        buckets.setdefault(_parity(eb), {}).setdefault(bb, []).append((eb, nb))
     weights: dict = {}
     get = weights.get
-    for (ea, ba), na in p.conjugate().num.items():
-        for eb, bb, nb in buckets.get(_parity(ea), ()):
-            key = (ba ^ bb, tuple(map(add, ea, eb)))
-            weights[key] = get(key, 0) + (na * nb if blade_sign(ba, bb) > 0 else -na * nb)
-    integrals: dict = {}
-    acc: dict = {}
-    for (blade, alpha), w in weights.items():
-        if not w:
+    for (ea, ba), na in p.num.items():
+        group = buckets.get(_parity(ea))
+        if not group:
             continue
-        if alpha not in integrals:
-            integrals[alpha] = monomial_ball_integral(m, alpha).q
-        acc[blade] = acc.get(blade, 0) + w * integrals[alpha]
+        if conjugation_sign(ba) < 0:
+            na = -na
+        blade_terms = [(ba, group.get(ba, ()))] if scalar_only else group.items()
+        for bb, terms in blade_terms:
+            blade = ba ^ bb
+            w = na if blade_sign(ba, bb) > 0 else -na
+            for eb, nb in terms:
+                key = (blade, tuple(map(add, ea, eb)))
+                weights[key] = get(key, 0) + w * nb
+    # every alpha here is all-even, as both exponent vectors share a parity
+    sums: dict = {}
+    for (blade, alpha), w in weights.items():
+        if w:
+            key = (blade, sum(alpha))
+            sums[key] = sums.get(key, 0) + w * _moment(alpha)
+    acc: dict = {}
+    for (blade, degree), n in sums.items():
+        acc[blade] = acc.get(blade, 0) + n * _degree_scale(m, degree)
     den = p.den * q.den
     return {blade: c / den for blade, c in acc.items()}
 
@@ -121,8 +180,8 @@ def inner_harm(p: MPoly, q: MPoly) -> PiScaled:
 
 def inner_mon(p: MPoly, q: MPoly) -> PiScaled:
     """Scalar part of the Clifford inner product: integral of scalar(conj(p)*q)."""
-    full, s = inner_mon_full(p, q)
-    return PiScaled(full.scalar_part(), s)
+    acc = _ball_pairing(p, q, CLIFFORD, "inner_mon", scalar_only=True)
+    return PiScaled(acc.get(0, 0), pi_power(p.dim))
 
 
 def inner_mon_full(p: MPoly, q: MPoly) -> tuple[Multivector, int]:

@@ -95,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_basis(args) -> int:
+    if args.m < 2:
+        raise ValueError("dimension must be at least 2")
     if len(args.k) != args.m - 1:
         raise ValueError(f"--k needs {args.m - 1} entries for --m {args.m}")
     if args.kind == "harm":

@@ -97,3 +97,13 @@ def test_value_error_exits_2_for_every_command(argv):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ")
+
+
+# the dimension is checked before the length of --k, as in genfun series
+@pytest.mark.parametrize("kind", ["harm", "mon"])
+@pytest.mark.parametrize("m", ["1", "0", "-3"])
+def test_basis_below_dimension_two_exits_2(kind, m):
+    code, stdout, stderr = _run(["basis", "--kind", kind, "--m", m, "--k", "1"])
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: dimension must be at least 2\n"
+    assert _run(["genfun", "series", "--kind", kind, "--m", m, "--order", "1"])[2] == stderr

@@ -3,12 +3,14 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gtbasis import (DomainError, embedding_f_value, embedding_x_value, enumerate_harm_indices,
-                     enumerate_mon_indices, gf_harm_closed, gf_harm_closed_m3, gf_mon_closed,
-                     gf_mon_closed_m3, gf_value, iter_multi_indices)
+                     enumerate_mon_indices, gamma_half, gf_harm_closed, gf_harm_closed_m3,
+                     gf_mon_closed, gf_mon_closed_m3, gf_value, iter_multi_indices,
+                     monomial_ball_integral, pi_power)
 from gtbasis.verify import run_verify
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -113,3 +115,50 @@ def test_negative_parts_are_refused(enumerate_, args):
 def test_embedding_values_need_m_coordinates(evaluate, args):
     with pytest.raises(ValueError, match="coordinates"):
         evaluate(*args)
+
+
+# ballint's helpers: each of these returned a value once (x_1^2's integral for
+# 2.5 and '2', a truncated 3/2, 1 at m = 0, pi_power(-2) = -2, pi_power(1.5) = 0.5)
+@pytest.mark.parametrize("m, alpha", [
+    (2, (2.5, 0)),
+    (2, ("2", 0)),
+    (2, (Fraction(3, 2), 0)),
+    (2, (2.0, 0)),
+    (2, 2),
+    (2, (-2, 0)),
+    (2, (2,)),
+    (0, ()),
+    (-1, (2,)),
+    (2.0, (2, 0)),
+])
+def test_monomial_ball_integral_rejects_bad_input(m, alpha):
+    with pytest.raises(ValueError):
+        monomial_ball_integral(m, alpha)
+
+
+@pytest.mark.parametrize("m", [0, -2, 1.5, 2.0, "2", None])
+def test_pi_power_rejects_bad_dimension(m):
+    with pytest.raises(ValueError):
+        pi_power(m)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", Fraction(5, 2), 0, -1])
+def test_gamma_half_rejects_bad_argument(n):
+    with pytest.raises(ValueError):
+        gamma_half(n)
+
+
+class _Index:
+    """An integer-like value that is not an int: operator.index accepts it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_ballint_helpers_accept_integer_like_values():
+    assert monomial_ball_integral(_Index(2), [_Index(2), 0]) == monomial_ball_integral(2, (2, 0))
+    assert pi_power(_Index(3)) == pi_power(3) == 2
+    assert gamma_half(_Index(5)) == gamma_half(5)
