@@ -29,22 +29,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, index
+from operator import add
 
 from .clifford import E12, Multivector, blade_sign, conjugation_sign
+from .errors import _integer
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly
 from .scalars import PiScaled, make_gaussian
 
 __all__ = ["gamma_half", "monomial_ball_integral", "inner_harm", "inner_mon",
            "inner_mon_full", "pi_power"]
-
-
-def _integer(value, what: str) -> int:
-    """value as an int through operator.index; anything non-integral is a ValueError."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _dimension(m) -> int:

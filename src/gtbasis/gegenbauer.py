@@ -8,7 +8,9 @@ Construction uses the three-term recurrence
 
 which is checked against a brute-force expansion of the generating function
 (`series_oracle`, kept deliberately independent of the recurrence and of the
-rest of the package).
+rest of the package).  The embedding factors run the homogenized form of the
+recurrence themselves (`harmonics._f_row`), so `gegenbauer_poly` serves only
+verify and the public API.
 """
 
 from __future__ import annotations

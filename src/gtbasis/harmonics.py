@@ -7,8 +7,12 @@ normalization) times one embedding factor per extra dimension,
     F^(k)_{r,j}(x) = |x|_r^k * C^{r/2+j-1}_k(x_r / |x|_r),
 
 which is a genuine polynomial thanks to the parity of the Gegenbauer
-polynomials.  The generating function H_m(x, h) = sum_k harm_k(x) h^k has a
-closed form obtained by the dimension recurrence
+polynomials.  Exact and float F share one implementation, the homogenized
+Gegenbauer recurrence of _f_row: run on polynomials it gives embedding_F, on
+floats the value tables of the partial sums.
+
+The generating function H_m(x, h) = sum_k harm_k(x) h^k has a closed form
+obtained by the dimension recurrence
 
     H_m(x, h) = d_m^{1 - m/2} * H_{m-1}(x', h'/d_m),
     d_m = 1 - 2*x_m*h_m + h_m^2*|x|_m^2,
@@ -30,8 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import E12
-from .errors import FLOAT_OVERFLOW, DomainError, SingularityError
-from .gegenbauer import gegenbauer_poly
+from .errors import FLOAT_OVERFLOW, DomainError, SingularityError, _integer
 from .hseries import HSeries, exp_series, lift_step, power_series
 from .mvpoly import GAUSSIAN, MPoly, radius_squared
 
@@ -157,35 +160,54 @@ def _in_box(m: int, h) -> bool:
     return all(abs(v) <= bound for v, bound in zip(h[1:], _box_bounds(m)))
 
 
-@lru_cache(maxsize=None)
-def embedding_F(m: int, j: int, k: int) -> MPoly:
-    """Embedding factor F^(k)_{m,j} as an exact polynomial in x_1..x_m.
-
-    k = -1 yields the zero polynomial (the convention the monogenic
-    embedding factors rely on).
-    """
+def _factor_label(m, j, k, k_min: int = -1) -> tuple:
+    """(m, j, k) as ints with m >= 3, j >= 0 and k >= k_min; anything else is a ValueError."""
+    m = _integer(m, "the dimension m")
+    j = _integer(j, "j")
+    k = _integer(k, "k")
     if m < 3:
         raise ValueError("embedding factors need m >= 3")
     if j < 0:
         raise ValueError("j must be non-negative")
+    if k < k_min:
+        raise ValueError(f"k must be >= {k_min}")
+    return m, j, k
+
+
+def _f_row(nu, k_max: int, xm, r2, zero, one) -> list:
+    """[F_0, ..., F_k_max] of F^(k)_{m,j}, nu = m/2 + j - 1, by the homogenized recurrence
+
+        n*F_n = 2*(n+nu-1)*x_m*F_{n-1} - (n+2*nu-2)*|x|_m^2*F_{n-2},  F_{-1} = zero, F_0 = one,
+
+    in the number type of the arguments: floats at a point (xm, r2 from _f_inputs)
+    or a Fraction nu with the polynomials x_m and |x|_m^2.  n and the constants
+    step in nu's own type, so a float row stays float arithmetic.
+    """
+    unit = nu - nu + 1
+    two = unit + unit
+    n, prev, cur = nu - nu, zero, one
+    row = [cur]
+    for _ in range(k_max):
+        n = n + unit
+        prev, cur = cur, (two * (n + nu - unit) * xm * cur
+                          - (n + two * nu - two) * r2 * prev) / n
+        row.append(cur)
+    return row
+
+
+@lru_cache(maxsize=None, typed=True)
+def embedding_F(m: int, j: int, k: int) -> MPoly:
+    """Embedding factor F^(k)_{m,j} as an exact polynomial in x_1..x_m.
+
+    k = -1 yields the zero polynomial (the convention the monogenic
+    embedding factors rely on).  A label with m < 3, j < 0, k < -1 or a
+    non-integral entry is a ValueError.
+    """
+    m, j, k = _factor_label(m, j, k)
     if k == -1:
         return MPoly.zero(m)
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    nu = Fraction(m, 2) + j - 1
-    g = gegenbauer_poly(nu, k)
-    xm = MPoly.variable(m, m)
-    r2 = radius_squared(m)
-    r2_pows = {0: MPoly.constant(m, 1)}
-    out = MPoly.zero(m)
-    for i, c in enumerate(g.coeffs):
-        if c == 0:
-            continue
-        p = (k - i) // 2
-        if p not in r2_pows:
-            r2_pows[p] = r2 ** p
-        out = out + (xm ** i * r2_pows[p]).scale(c)
-    return out
+    return _f_row(Fraction(m, 2) + j - 1, k, MPoly.variable(m, m), radius_squared(m),
+                  MPoly.zero(m), MPoly.constant(m, 1))[-1]
 
 
 def _base2(sign: int, ring: str) -> MPoly:
@@ -427,45 +449,24 @@ def _f_inputs(m: int, x) -> tuple:
     return coords[-1], r2
 
 
-def _f_row(m: int, j: int, k_max: int, xm: float, r2: float) -> list:
-    """Float values [F^(0)_{m,j}, ..., F^(k_max)_{m,j}] at a point, in one pass.
-
-    The homogenized Gegenbauer recurrence, nu = m/2 + j - 1:
-    n*F_n = 2*(n+nu-1)*x_m*F_{n-1} - (n+2*nu-2)*|x|_m^2*F_{n-2},
-    with F_0 = 1 and F_1 = 2*nu*x_m; (xm, r2) come from _f_inputs.
-    """
-    nu = m / 2.0 + j - 1.0
-    prev, cur = 0.0, 1.0
-    row = [cur]
-    for n in range(1, k_max + 1):
-        prev, cur = cur, (2.0 * (n + nu - 1.0) * xm * cur
-                          - (n + 2.0 * nu - 2.0) * r2 * prev) / n
-        row.append(cur)
-    return row
-
-
 def _f_table(m: int, order: int, x) -> list:
     """Rows table[j][k] = F^(k)_{m,j}(x) for j + k <= order."""
     xm, r2 = _f_inputs(m, x)
-    return [_f_row(m, j, order - j, xm, r2) for j in range(order + 1)]
+    return [_f_row(m / 2.0 + j - 1.0, order - j, xm, r2, 0.0, 1.0) for j in range(order + 1)]
 
 
 def embedding_f_value(m: int, j: int, k: int, x) -> float:
     """Float value of F^(k)_{m,j} at a point (first m coordinates of x are used).
 
-    A value that is not finite is a FLOAT_OVERFLOW ValueError.
+    A label refused by embedding_F is a ValueError, and a value that is not
+    finite a FLOAT_OVERFLOW ValueError.
     """
-    if m < 3:
-        raise ValueError("embedding factors need m >= 3")
+    m, j, k = _factor_label(m, j, k)
     if len(x) < m:
         raise ValueError(f"x needs at least {m} coordinates")
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    if k < -1:
-        raise ValueError("k must be >= -1")
     if k == -1:
         return 0.0
-    value = _f_row(m, j, k, *_f_inputs(m, x))[k]
+    value = _f_row(m / 2.0 + j - 1.0, k, *_f_inputs(m, x), 0.0, 1.0)[k]
     if not math.isfinite(value):
         raise ValueError(FLOAT_OVERFLOW)
     return value

@@ -216,7 +216,7 @@ def lift_step(series: HSeries, order: int) -> HSeries:
     """Lift a dimension-(m-1) series to dimension m.
 
     Each coefficient at index k' with s = |k'| is multiplied by the
-    single-variable expansion of d_m^(alpha - s), where
+    single-variable expansion of d_m^(alpha - s), made once per s, where
     d_m = 1 - 2*x_m*h_m + h_m^2*|x|_m^2.  The series' ring picks the lift:
     a gaussian (harmonic) series has alpha = 1 - m/2; a clifford
     (monogenic) one has alpha = -m/2, and its result is then
@@ -228,15 +228,16 @@ def lift_step(series: HSeries, order: int) -> HSeries:
     c1 = MPoly.variable(m, m, ring).scale(-2)
     c2 = radius_squared(m, ring=ring)
     upowers = _u_powers(c1, c2, order)
+    expansions: dict = {}
     acc: dict = {}
     for kprev, coeff in series.terms.items():
         s = sum(kprev)
         if s > order:
             continue
-        budget = order - s
-        expansion = _binomial_coeffs(alpha - s, upowers, budget, m, ring)
+        if s not in expansions:
+            expansions[s] = _binomial_coeffs(alpha - s, upowers, order - s, m, ring)
         lifted = coeff.embed(m)
-        for j, q in enumerate(expansion):
+        for j, q in enumerate(expansions[s]):
             if q.is_zero():
                 continue
             acc[kprev + (j,)] = q * lifted

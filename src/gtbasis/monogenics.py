@@ -33,8 +33,8 @@ from functools import lru_cache
 from .clifford import E12, Multivector, blade_product
 from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base2, _base2_value,
                         _base_powers, _basis_product, _check_norm, _check_point,
-                        _closed_form, _gf_series, _Index, _kernel_m3, _partial_sum,
-                        embedding_F, embedding_f_value, iter_multi_indices)
+                        _closed_form, _factor_label, _gf_series, _Index, _kernel_m3,
+                        _partial_sum, embedding_F, embedding_f_value, iter_multi_indices)
 from .hseries import HSeries, _underline_x_em
 from .mvpoly import CLIFFORD, MPoly
 
@@ -49,13 +49,13 @@ class MonIndex(_Index):
         return f"mon_{{{','.join(map(str, self.k))}}} [{self.normalization}]"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def embedding_X(m: int, j: int, k: int) -> MPoly:
-    """Clifford embedding factor X^(k)_{m,j}; Dirac-annihilated and degree k."""
-    if m < 3:
-        raise ValueError("embedding factors need m >= 3")
-    if j < 0 or k < 0:
-        raise ValueError("j and k must be non-negative")
+    """Clifford embedding factor X^(k)_{m,j}; Dirac-annihilated and degree k.
+
+    A label with m < 3, j < 0, k < 0 or a non-integral entry is a ValueError.
+    """
+    m, j, k = _factor_label(m, j, k, k_min=0)
     scale = Fraction(m - 2 + k + 2 * j, m - 2 + 2 * j)
     first = embedding_F(m, j, k).to_clifford().scale(scale)
     second = embedding_F(m, j + 1, k - 1).to_clifford() * _underline_x_em(m)
@@ -156,8 +156,10 @@ def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries
 def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:
     """Float value of X^(k)_{m,j} at a point, inside R_{0,top}.
 
-    A coefficient that is not finite is a FLOAT_OVERFLOW ValueError.
+    A label refused by embedding_X is a ValueError, and a coefficient that is
+    not finite a FLOAT_OVERFLOW ValueError.
     """
+    m, j, k = _factor_label(m, j, k, k_min=0)
     f0 = embedding_f_value(m, j, k, x)
     f1 = embedding_f_value(m, j + 1, k - 1, x)
     scale = (m - 2 + k + 2 * j) / (m - 2 + 2 * j)

@@ -313,6 +313,12 @@ class MPoly:
         return MPoly._reduced(self.dim, self.ring,
                               {key: p * n for key, n in self.num.items()}, q * self.den)
 
+    def __truediv__(self, other):
+        """Division by a nonzero int or Fraction; 0 is a ZeroDivisionError."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.scale(Fraction(1, other))
+
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented

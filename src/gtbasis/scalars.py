@@ -15,19 +15,24 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def _fraction(value) -> Fraction:
+    """value as a Fraction, converted only when it is not one already."""
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _as_pair(value):
     """Return (re, im) as Fractions, or None if value is not exact."""
     if isinstance(value, GaussianRational):
         return value.re, value.im
     if isinstance(value, (int, Fraction)):
-        return Fraction(value), Fraction(0)
+        return _fraction(value), Fraction(0)
     return None
 
 
 def make_gaussian(re, im=0):
     """Canonical exact complex scalar: Fraction when im == 0, else GaussianRational."""
-    re = Fraction(re)
-    im = Fraction(im)
+    re = _fraction(re)
+    im = _fraction(im)
     if im == 0:
         return re
     return GaussianRational(re, im)
@@ -39,8 +44,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _fraction(re))
+        object.__setattr__(self, "im", _fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import (DomainError, embedding_f_value, embedding_x_value, enumerate_harm_indices,
-                     enumerate_mon_indices, gamma_half, gf_harm_closed, gf_harm_closed_m3,
-                     gf_mon_closed, gf_mon_closed_m3, gf_value, iter_multi_indices,
-                     monomial_ball_integral, pi_power)
+from gtbasis import (DomainError, embedding_F, embedding_f_value, embedding_X, embedding_x_value,
+                     enumerate_harm_indices, enumerate_mon_indices, gamma_half, gf_harm_closed,
+                     gf_harm_closed_m3, gf_mon_closed, gf_mon_closed_m3, gf_value,
+                     iter_multi_indices, monomial_ball_integral, pi_power)
 from gtbasis.verify import run_verify
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -162,3 +162,46 @@ def test_ballint_helpers_accept_integer_like_values():
     assert monomial_ball_integral(_Index(2), [_Index(2), 0]) == monomial_ball_integral(2, (2, 0))
     assert pi_power(_Index(3)) == pi_power(3) == 2
     assert gamma_half(_Index(5)) == gamma_half(5)
+
+
+# The embedding factors: a non-integral label returned a value once (F for j = 1/2
+# as for j = 0, 0.22 from embedding_f_value), or raised a TypeError or a misleading
+# "k must be non-negative" / "x needs at least 3.5 coordinates".
+_X3 = [0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("evaluate, args, where, bad", [
+    (embedding_F, (3, 0, 2), 1, 0.5),
+    (embedding_F, (3, 0, 2), 1, Fraction(1, 2)),
+    (embedding_F, (3, 0, 2), 2, 2.5),
+    (embedding_F, (3, 0, 2), 2, 2.0),
+    (embedding_F, (3, 0, 2), 0, 3.0),
+    (embedding_X, (3, 0, 2), 1, 0.5),
+    (embedding_X, (3, 0, 2), 1, Fraction(1, 2)),
+    (embedding_X, (3, 0, 2), 2, 2.0),
+    (embedding_f_value, (3, 0, 2, _X3), 1, 0.5),
+    (embedding_f_value, (3, 0, 2, _X3), 2, 2.5),
+    (embedding_f_value, (3, 0, 2, _X3), 0, 3.5),
+    (embedding_x_value, (3, 3, 0, 2, _X3), 2, 0.5),
+    (embedding_x_value, (3, 3, 0, 2, _X3), 3, "2"),
+])
+def test_embedding_factors_refuse_non_integer_labels(evaluate, args, where, bad):
+    evaluate(*args)  # cached first, so an equal-hashing label cannot hit the cache
+    with pytest.raises(ValueError, match="must be an integer"):
+        evaluate(*args[:where], bad, *args[where + 1:])
+
+
+@pytest.mark.parametrize("evaluate, args", [
+    (embedding_X, (3, 0, -1)),
+    (embedding_x_value, (3, 3, 0, -1, _X3)),
+])
+def test_clifford_embedding_factors_need_k_at_least_zero(evaluate, args):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        evaluate(*args)
+
+
+def test_embedding_factors_accept_integer_like_labels():
+    assert embedding_F(_Index(4), _Index(1), _Index(3)) == embedding_F(4, 1, 3)
+    assert embedding_X(_Index(4), _Index(1), _Index(3)) == embedding_X(4, 1, 3)
+    assert embedding_f_value(_Index(3), _Index(0), _Index(2), _X3) == \
+        embedding_f_value(3, 0, 2, _X3)

@@ -146,3 +146,23 @@ def test_json_round_trip_clifford():
     rng = np.random.default_rng(15)
     p = rnd_clifford_poly(rng, 3, 3)
     assert MPoly.from_json(p.to_json()) == p
+
+
+def test_division_by_int_and_fraction():
+    p = x(3, 1) * x(3, 2) + x(3, 3).scale(Fraction(3, 4))
+    assert p / 3 == p.scale(Fraction(1, 3))
+    assert p / Fraction(-3, 4) == p.scale(Fraction(-4, 3))
+    q = x(3, 1, CLIFFORD) * MPoly.constant(3, Multivector.blade(3, 0b101, 2), CLIFFORD)
+    assert q / 2 == q.scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_division_by_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        x(3, 1) / zero
+
+
+@pytest.mark.parametrize("divisor", [2.0, I, x(3, 2)])
+def test_division_by_anything_else_is_a_type_error(divisor):
+    with pytest.raises(TypeError):
+        x(3, 1) / divisor
