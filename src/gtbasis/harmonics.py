@@ -80,7 +80,7 @@ class _Index:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
+        object.__setattr__(self, "k", tuple(_integer(v, "an index entry") for v in self.k))
         _check_norm(self.normalization)
         if len(self.k) < 1:
             raise ValueError("index needs at least the k_2 entry (m >= 2)")

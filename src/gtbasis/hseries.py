@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import _integer
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _check_space, radius_squared
 from .scalars import binom_frac
 
@@ -30,7 +31,7 @@ class HSeries:
         _check_space(m, ring)
         clean = {}
         for k, poly in (terms or {}).items():
-            k = tuple(int(v) for v in k)
+            k = tuple(_integer(v, "an h multi-index entry") for v in k)
             if len(k) != m - 1 or any(v < 0 for v in k):
                 raise ValueError(f"bad h multi-index {k} for dimension {m}")
             if sum(k) > order:

@@ -26,6 +26,7 @@ from math import gcd, lcm
 from operator import add
 
 from .clifford import E12, Multivector, blade_sign, conjugation_sign
+from .errors import _integer
 from .scalars import GaussianRational, make_gaussian
 
 GAUSSIAN = "gaussian"
@@ -43,7 +44,7 @@ def _check_space(dim: int, ring: str) -> None:
 
 
 def _check_exps(exps, dim: int) -> tuple:
-    exps = tuple(int(e) for e in exps)
+    exps = tuple(_integer(e, "an exponent") for e in exps)
     if len(exps) != dim or any(e < 0 for e in exps):
         raise ValueError(f"bad exponent vector {exps} for dim {dim}")
     return exps

@@ -6,7 +6,8 @@ by (seed, check name, parameters), so the report content is identical for a
 given seed regardless of execution order.  The streams are
 numpy's ``Generator(PCG64(SeedSequence(...)))`` reproduced in pure Python
 (``_pcg``), so reports are the ones numpy's generator gave and the package
-needs no numpy at run time.
+needs no numpy at run time.  Every check and its ranges live in one table,
+``_TABLE``, where each range is a function of (m_max, deg_max, order).
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 
 from ._pcg import PCG64
+from .errors import _integer
 from .gegenbauer import gegenbauer_poly, gf_value, series_oracle
 from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _base2, _sum_squares,
                         embedding_F, enumerate_harm_indices, gf_harm_closed,
@@ -356,102 +360,98 @@ def _check_plain_base_geometric(base: MPoly, order: int = 12):
     return run
 
 
-# -- suite assembly ----------------------------------------------------------
+# -- the range table ---------------------------------------------------------
+
+
+Ranges = namedtuple("Ranges", "m_max deg_max order")
+DEFAULT = Ranges(4, 4, 3)
+NORMS = (FACTORIAL, PLAIN)
+_BOTH = ("harm", "mon")
+
+
+def _extent(value: int, default: int, cap: int) -> int:
+    """min(value, cap) up to the default value, and one more per step above it."""
+    return min(value, default, cap) + max(value - default, 0)
+
+
+# A row per check: its name ("suite.check"; {tag} and {kernel} come from the family),
+# the family tags it runs for (None: no family), whether it runs once per variant of
+# the family, its body, the values of its parameters given the Ranges, and constant
+# parameters that only label it.  There is one check per combination of the values;
+# the body gets the family, the values in the order given, then the variant keywords.
+_TABLE = (
+    ("pde.{tag}_{kernel}_zero", _BOTH, False, _check_kernel,
+     lambda r: {"m": range(2, r.m_max + 1), "deg_max": [r.deg_max], "norm": NORMS}, {}),
+    ("pde.dirac_squared_is_laplacian", (None,), False, _check_factorization,
+     lambda r: {"m_max": [r.m_max], "samples": [100]}, {}),
+    ("ortho.{tag}_pairwise", ("harm",), False, _check_orthogonality,
+     lambda r: {"m": range(2, r.m_max + 1), "deg_max": [r.deg_max], "norm": [FACTORIAL]}, {}),
+    ("ortho.{tag}_pairwise", ("mon",), False, _check_orthogonality,
+     lambda r: {"m": range(2, _extent(r.m_max, DEFAULT.m_max, 3) + 1),
+                "deg_max": [_extent(r.deg_max, DEFAULT.deg_max, 3)], "norm": [FACTORIAL]}, {}),
+    ("extract.{tag}_series_equals_basis", _BOTH, True, _check_extraction,
+     lambda r: {"m": range(2, r.m_max + 1), "order": [r.order], "norm": NORMS}, {}),
+    ("gf.gegenbauer_closed_vs_partial", (None,), False, _check_gegenbauer_gf_float,
+     lambda r: {}, {"order": SERIES_ORDER, "tol": 1e-10}),
+    ("gf.{tag}_closed_vs_series", _BOTH, False, _check_closed_vs_series,
+     lambda r: {"m": range(2, r.m_max + 1), "norm": NORMS}, {"points": NUM_POINTS}),
+    ("gf.harm_recurrence_step", (None,), False, _check_harm_recurrence_step,
+     lambda r: {"m": range(3, r.m_max + 1), "norm": NORMS}, {"points": NUM_POINTS}),
+    ("gf.{tag}_m3_closed_formula", _BOTH, True, _check_m3_formula,
+     lambda r: {"norm": NORMS if r.m_max >= 3 else ()}, {}),
+    ("lemmas.gegenbauer_recurrence_vs_oracle", (None,), False,
+     _check_gegenbauer_recurrence_vs_oracle, lambda r: {}, {"k_max": 12}),
+    ("lemmas.gegenbauer_parity", (None,), False, _check_gegenbauer_parity,
+     lambda r: {}, {"k_max": 12}),
+    # (1 - 2 x_m h_m + h_m^2 |x|_m^2)^(lift - m/2 - j), lift = 1 harmonic, 0 monogenic;
+    # the lemmas start at m = 3, which they check at m_max = 2 too
+    ("lemmas.gf_f_embedding", (None,), False,
+     lambda m, j: _check_lemma_gf(m, j, GAUSSIAN, 1 - Fraction(m, 2) - j, HSeries.one,
+                                  embedding_F),
+     lambda r: {"m": range(3, max(r.m_max, 3) + 1), "j": range(4)}, {"k_max": 8}),
+    ("lemmas.gf_x_embedding", (None,), False,
+     lambda m, j: _check_lemma_gf(m, j, CLIFFORD, -Fraction(m, 2) - j, _monogenic_prefactor,
+                                  embedding_X),
+     lambda r: {"m": range(3, max(r.m_max, 3) + 1), "j": range(4)}, {"k_max": 8}),
+    ("lemmas.plain_base_geometric", (None,), False,
+     lambda sign: _check_plain_base_geometric(_base2(sign, GAUSSIAN)),
+     lambda r: {"sign": (+1, -1)}, {"kind": "harm", "order": 12}),
+    ("lemmas.plain_base_geometric", (None,), False,
+     lambda: _check_plain_base_geometric(_base2(-1, CLIFFORD)),
+     lambda r: {}, {"kind": "mon", "order": 12}),
+)
 
 
 def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
+    ranges = Ranges(m_max, deg_max, order)
+    families = dict(zip(_BOTH, _families()))
     checks: list[Check] = []
-    want = set(suites)
-    harm, mon = _families()
-
-    if "pde" in want:
-        for fam, m_top, deg in ((harm, 5, deg_max), (mon, 4, min(4, deg_max))):
-            for m in range(2, min(m_top, m_max) + 1):
-                for norm in (FACTORIAL, PLAIN):
-                    checks.append(Check(f"pde.{fam.tag}_{fam.kernel}_zero",
-                                        {"m": m, "deg_max": deg, "norm": norm},
-                                        _check_kernel(fam, m, deg, norm)))
-        checks.append(Check("pde.dirac_squared_is_laplacian",
-                            {"m_max": min(4, m_max), "samples": 100},
-                            _check_factorization(min(4, m_max), 100)))
-
-    if "ortho" in want:
-        for fam, m_top, deg in ((harm, 4, min(4, deg_max)), (mon, 3, min(3, deg_max))):
-            for m in range(2, min(m_top, m_max) + 1):
-                checks.append(Check(f"ortho.{fam.tag}_pairwise",
-                                    {"m": m, "deg_max": deg, "norm": FACTORIAL},
-                                    _check_orthogonality(fam, m, deg, FACTORIAL)))
-
-    if "extract" in want:
-        for m in range(2, min(4, m_max) + 1):
-            for norm in (FACTORIAL, PLAIN):
-                for fam, n in ((harm, min(order, 4)), (mon, min(order, 3))):
-                    for kw in fam.variants:
-                        checks.append(Check(f"extract.{fam.tag}_series_equals_basis",
-                                            {"m": m, "order": n, "norm": norm, **kw},
-                                            _check_extraction(fam, m, n, norm, **kw)))
-
-    if "gf" in want:
-        checks.append(Check("gf.gegenbauer_closed_vs_partial",
-                            {"order": SERIES_ORDER, "tol": 1e-10},
-                            _check_gegenbauer_gf_float()))
-        for m in range(2, min(5, m_max) + 1):
-            for norm in (FACTORIAL, PLAIN):
-                for fam in (harm, mon):
-                    checks.append(Check(f"gf.{fam.tag}_closed_vs_series",
-                                        {"m": m, "norm": norm, "points": NUM_POINTS},
-                                        _check_closed_vs_series(fam, m, norm)))
-        for m in range(3, min(5, m_max) + 1):
-            for norm in (FACTORIAL, PLAIN):
-                checks.append(Check("gf.harm_recurrence_step",
-                                    {"m": m, "norm": norm, "points": NUM_POINTS},
-                                    _check_harm_recurrence_step(m, norm)))
-        if m_max >= 3:
-            for norm in (FACTORIAL, PLAIN):
-                for fam in (harm, mon):
-                    for kw in fam.variants:
-                        checks.append(Check(f"gf.{fam.tag}_m3_closed_formula",
-                                            {"norm": norm, **kw},
-                                            _check_m3_formula(fam, norm, **kw)))
-
-    if "lemmas" in want:
-        checks.append(Check("lemmas.gegenbauer_recurrence_vs_oracle",
-                            {"k_max": 12}, _check_gegenbauer_recurrence_vs_oracle()))
-        checks.append(Check("lemmas.gegenbauer_parity",
-                            {"k_max": 12}, _check_gegenbauer_parity()))
-        # (1 - 2 x_m h_m + h_m^2 |x|_m^2)^(lift - m/2 - j), lift = 1 harmonic, 0 monogenic
-        lemmas = (("f", (3, 4, 5), GAUSSIAN, 1, HSeries.one, embedding_F),
-                  ("x", (3, 4), CLIFFORD, 0, _monogenic_prefactor, embedding_X))
-        for tag, dims, ring, lift, prefactor, factor in lemmas:
-            for m in dims:
-                if m > max(m_max, 3):
-                    continue
-                for j in range(4):
-                    alpha = lift - Fraction(m, 2) - j
-                    checks.append(Check(f"lemmas.gf_{tag}_embedding",
-                                        {"m": m, "j": j, "k_max": 8},
-                                        _check_lemma_gf(m, j, ring, alpha, prefactor, factor)))
-        for sign in (+1, -1):
-            checks.append(Check("lemmas.plain_base_geometric",
-                                {"kind": "harm", "sign": sign, "order": 12},
-                                _check_plain_base_geometric(_base2(sign, GAUSSIAN))))
-        checks.append(Check("lemmas.plain_base_geometric",
-                            {"kind": "mon", "order": 12},
-                            _check_plain_base_geometric(_base2(-1, CLIFFORD))))
-
+    for name, tags, variants, body, values, labels in _TABLE:
+        if name.split(".")[0] not in suites:
+            continue
+        grid = values(ranges)
+        for fam in map(families.get, tags):
+            label = name.format(tag=fam.tag, kernel=fam.kernel) if fam else name
+            head = (fam,) if fam else ()
+            for point in product(*grid.values()):
+                for kw in fam.variants if variants else ({},):
+                    params = {**dict(zip(grid, point)), **labels, **kw}
+                    checks.append(Check(label, params, body(*head, *point, **kw)))
     return checks
 
 
-def run_verify(suites=("all",), m_max: int = 4, deg_max: int = 4, order: int = 3,
-               seed: int = 0):
+def run_verify(suites=("all",), m_max: int = DEFAULT.m_max, deg_max: int = DEFAULT.deg_max,
+               order: int = DEFAULT.order, seed: int = 0):
     """Run the selected suites; returns (report dict, suite timing dict)."""
     selected = list(SUITES) if "all" in suites else [s for s in SUITES if s in suites]
     unknown = set(suites) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)} "
                          f"(choose from all, {', '.join(SUITES)})")
+    m_max, deg_max, order, seed = (_integer(v, n) for v, n in zip(
+        (m_max, deg_max, order, seed), ("m_max", "deg_max", "order", "seed")))
     for name, value, low in (("m_max", m_max, 2), ("deg_max", deg_max, 0),
-                             ("order", order, 0)):
+                             ("order", order, 0), ("seed", seed, 0)):
         if value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
     checks = build_checks(selected, m_max, deg_max, order)

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import (DomainError, embedding_F, embedding_f_value, embedding_X, embedding_x_value,
-                     enumerate_harm_indices, enumerate_mon_indices, gamma_half, gf_harm_closed,
-                     gf_harm_closed_m3, gf_mon_closed, gf_mon_closed_m3, gf_value,
-                     iter_multi_indices, monomial_ball_integral, pi_power)
+from gtbasis import (BasisIndex, DomainError, HSeries, MonIndex, MPoly, embedding_F,
+                     embedding_f_value, embedding_X, embedding_x_value, enumerate_harm_indices,
+                     enumerate_mon_indices, gamma_half, gf_harm_closed, gf_harm_closed_m3,
+                     gf_mon_closed, gf_mon_closed_m3, gf_value, iter_multi_indices,
+                     monomial_ball_integral, pi_power)
 from gtbasis.verify import run_verify
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -61,6 +62,12 @@ def test_cli_genfun_eval_non_finite_exits_2(args):
     ({"m_max": -3}, "m_max"),
     ({"deg_max": -1}, "deg_max"),
     ({"order": -1}, "order"),
+    # these gave a report of failed checks or a bare TypeError once
+    ({"deg_max": 2.5}, "deg_max"),
+    ({"m_max": 4.5}, "m_max"),
+    ({"order": 3.0}, "order"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
 ])
 def test_run_verify_rejects_out_of_range_parameters(kwargs, name):
     with pytest.raises(ValueError, match=name):
@@ -205,3 +212,30 @@ def test_embedding_factors_accept_integer_like_labels():
     assert embedding_X(_Index(4), _Index(1), _Index(3)) == embedding_X(4, 1, 3)
     assert embedding_f_value(_Index(3), _Index(0), _Index(2), _X3) == \
         embedding_f_value(3, 0, 2, _X3)
+
+
+# Basis labels, exponents and series indices: each of these was truncated with
+# int() once, to the polynomial or term of another label
+_ONE3 = MPoly.constant(3, 1)
+
+
+@pytest.mark.parametrize("make, args", [
+    (BasisIndex, ((1.5, 2),)),
+    (BasisIndex, ((Fraction(1, 2), 0),)),
+    (MonIndex, ((0.7, 1),)),
+    (MonIndex, ((1, 2.0),)),
+    (MPoly.monomial, (2, (1.5, 0), 1)),
+    (MPoly.monomial, (2, (1, "0"), 1)),
+    (HSeries, (3, 2, "gaussian", {(0.5, 1): _ONE3})),
+    (HSeries, (3, 2, "gaussian", {(1.0, 0): _ONE3})),
+])
+def test_labels_and_exponents_refuse_non_integers(make, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(*args)
+
+
+def test_labels_and_exponents_accept_integer_like_values():
+    assert BasisIndex((_Index(1), 2)) == BasisIndex((1, 2))
+    assert MonIndex((_Index(0), _Index(1))) == MonIndex((0, 1))
+    assert MPoly.monomial(2, (_Index(1), 0), 1) == MPoly.variable(2, 1)
+    assert HSeries(3, 2, terms={(_Index(0), 1): _ONE3}).terms == {(0, 1): _ONE3}

@@ -14,7 +14,7 @@ from gtbasis.verify import run_verify
 
 @pytest.mark.parametrize("m_max, digest", [
     (4, "bbc97a531b7ed157c45128d91e013ec944ce75304f2992de6ddd8c30bc374627"),
-    (5, "1a37b2080deb3a14e5e46deeaf58844caa05352a2469399171df31eef96c56ad"),
+    (5, "736a107382158d312ec0ef0a68409be10f0e82a3c8bfa4bfa0b26ddf14e169db"),
 ], ids=["m_max4", "m_max5"])
 def test_verify_all_report_is_pinned(m_max, digest):
     report = run_verify(("all",), m_max=m_max, seed=0)[0]
