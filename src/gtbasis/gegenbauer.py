@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FLOAT_OVERFLOW
+from .errors import FLOAT_OVERFLOW, _integer
 from .scalars import binom_frac
 
 
@@ -49,10 +49,14 @@ def _check_nu(nu: Fraction) -> Fraction:
     return nu
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gegenbauer_poly(nu: Fraction, k: int) -> GegenbauerPoly:
-    """Exact C_k^nu via the three-term recurrence."""
-    nu = _check_nu(nu)
+    """Exact C_k^nu via the three-term recurrence.
+
+    The cache is typed: an untyped one returns a cached C_2 for k = 2.0, a
+    degree the integer check below refuses on a cold cache.
+    """
+    nu, k = _check_nu(nu), _integer(k, "k")
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:

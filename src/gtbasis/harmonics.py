@@ -472,9 +472,9 @@ def embedding_f_value(m: int, j: int, k: int, x) -> float:
     return value
 
 
-def _base_powers(base, one, order: int, normalization: str) -> list:
+def _base_powers(base: complex, order: int, normalization: str) -> list:
     """Float values base^{k_2} (over k_2! in the factorial normalization), k_2 <= order."""
-    values = [one]
+    values = [complex(1.0)]
     for k2 in range(1, order + 1):
         nxt = values[-1] * base
         if normalization == FACTORIAL:
@@ -571,6 +571,5 @@ def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,
     sign = _norm_sign(sign)
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain=True)
-    base_values = _base_powers(complex(x[0], sign * x[1]), complex(1.0), order,
-                               normalization)
+    base_values = _base_powers(complex(x[0], sign * x[1]), order, normalization)
     return _partial_sum(m, x, h, order, [[v] for v in base_values], _harm_split)[0]

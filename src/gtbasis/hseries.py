@@ -24,6 +24,7 @@ class HSeries:
     __slots__ = ("m", "order", "ring", "terms")
 
     def __init__(self, m: int, order: int, ring: str = GAUSSIAN, terms: dict | None = None):
+        m, order = _integer(m, "series dimension"), _integer(order, "order")
         if m < 2:
             raise ValueError("series dimension must be at least 2")
         if order < 0:

@@ -186,8 +186,7 @@ def gf_mon_partial_sum(m: int, x, h, order: int,
     x, h = _check_point(m, x, h, unsafe_domain=True)
     # x_1 - e_12 x_2 spans a copy of C (e_12^2 = -1), so its powers are complex ones.
     base_values = [[z.real, 0.0, 0.0, z.imag]
-                   for z in _base_powers(complex(x[0], -x[1]), complex(1.0), order,
-                                         normalization)]
+                   for z in _base_powers(complex(x[0], -x[1]), order, normalization)]
     total = _partial_sum(m, x, h, order, base_values, _mon_split, _u_times)
     return Multivector(m, dict(enumerate(total)))
 

@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import _integer
+
 
 def _fraction(value) -> Fraction:
     """value as a Fraction, converted only when it is not one already."""
@@ -190,6 +192,7 @@ class PiScaled:
     __slots__ = ("q", "s")
 
     def __init__(self, q, s: int = 0):
+        s = _integer(s, "the pi power s")
         pair = _as_pair(q)
         if pair is None:
             raise TypeError("PiScaled coefficient must be exact")
@@ -197,7 +200,7 @@ class PiScaled:
         if not q:
             q, s = Fraction(0), 0
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "s", int(s))
+        object.__setattr__(self, "s", s)
 
     def __setattr__(self, name, value):
         raise AttributeError("PiScaled is immutable")

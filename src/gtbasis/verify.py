@@ -1,17 +1,19 @@
 """Machine verification of every identity behind the basis construction.
 
-Each check is a pure function returning pass/fail plus a first-counterexample
-witness.  Checks draw their randomness from a splittable seed sequence keyed
-by (seed, check name, parameters), so the report content is identical for a
-given seed regardless of execution order.  The streams are
-numpy's ``Generator(PCG64(SeedSequence(...)))`` reproduced in pure Python
-(``_pcg``), so reports are the ones numpy's generator gave and the package
-needs no numpy at run time.  Every check and its ranges live in one table,
+Each check is a plain function returning pass/fail plus a first-counterexample
+witness, called with its rng and the params its report prints.  Checks draw
+their randomness from a splittable seed sequence keyed by (seed, check name,
+parameters), so the report content is identical for a given seed regardless
+of execution order.  The streams are numpy's
+``Generator(PCG64(SeedSequence(...)))`` reproduced in pure Python (``_pcg``),
+so reports are the ones numpy's generator gave and the package needs no
+numpy at run time.  Every check and its ranges live in one table,
 ``_TABLE``, where each range is a function of (m_max, deg_max, order).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -180,184 +182,163 @@ def _families() -> tuple[_Family, _Family]:
 # -- pde suite ---------------------------------------------------------------
 
 
-def _check_kernel(fam: _Family, m: int, deg: int, norm: str):
-    def run(rng):
-        for idx in fam.indices(m, deg, norm):
-            poly = fam.basis(idx)
-            if not getattr(poly, fam.kernel)().is_zero():
-                return False, f"{fam.kernel}({fam.tag} {idx}) != 0"
-            if not poly.is_homogeneous(idx.degree()):
-                return False, f"{fam.tag} {idx} not homogeneous of degree {idx.degree()}"
-        return True, None
-    return run
+def _check_kernel(fam: _Family, rng, m: int, deg_max: int, norm: str):
+    for idx in fam.indices(m, deg_max, norm):
+        poly = fam.basis(idx)
+        if not getattr(poly, fam.kernel)().is_zero():
+            return False, f"{fam.kernel}({fam.tag} {idx}) != 0"
+        if not poly.is_homogeneous(idx.degree()):
+            return False, f"{fam.tag} {idx} not homogeneous of degree {idx.degree()}"
+    return True, None
 
-def _check_factorization(m_max: int, count: int):
-    def run(rng):
-        for i in range(count):
-            m = rng.integers(2, m_max + 1)
-            deg = rng.integers(0, 6)
-            poly = _random_clifford_poly(rng, m, deg)
-            if -poly.dirac().dirac() != poly.laplacian():
-                return False, f"sample {i}: -dirac^2 != laplacian (m={m}, deg={deg})"
-        return True, None
-    return run
+def _check_factorization(rng, m_max: int, samples: int):
+    for i in range(samples):
+        m = rng.integers(2, m_max + 1)
+        deg = rng.integers(0, 6)
+        poly = _random_clifford_poly(rng, m, deg)
+        if -poly.dirac().dirac() != poly.laplacian():
+            return False, f"sample {i}: -dirac^2 != laplacian (m={m}, deg={deg})"
+    return True, None
 
 
 # -- ortho suite -------------------------------------------------------------
 
 
-def _check_orthogonality(fam: _Family, m: int, deg: int, norm: str):
-    def run(rng):
-        basis = [(idx, fam.basis(idx)) for idx in fam.indices(m, deg, norm)]
-        for i, (idx_a, a) in enumerate(basis):
-            self_prod = fam.inner(a, a)
-            if not self_prod > 0:
-                return False, f"<{idx_a},{idx_a}> = {self_prod} not positive"
-            for idx_b, b in basis[i + 1:]:
-                prod = fam.inner(a, b)
-                if not prod.is_zero():
-                    return False, f"<{idx_a},{idx_b}> = {prod} != 0"
-        return True, None
-    return run
+def _check_orthogonality(fam: _Family, rng, m: int, deg_max: int, norm: str):
+    basis = [(idx, fam.basis(idx)) for idx in fam.indices(m, deg_max, norm)]
+    for i, (idx_a, a) in enumerate(basis):
+        self_prod = fam.inner(a, a)
+        if not self_prod > 0:
+            return False, f"<{idx_a},{idx_a}> = {self_prod} not positive"
+        for idx_b, b in basis[i + 1:]:
+            prod = fam.inner(a, b)
+            if not prod.is_zero():
+                return False, f"<{idx_a},{idx_b}> = {prod} != 0"
+    return True, None
 
 
 # -- extract suite -----------------------------------------------------------
 
 
-def _check_extraction(fam: _Family, m: int, order: int, norm: str, **kw):
-    def run(rng):
-        series = fam.series(m, order, normalization=norm, **kw)
-        for k in iter_multi_indices(m - 1, order):
-            expected = fam.basis(fam.index(k, normalization=norm, **kw))
-            if series.coefficient(k) != expected:
-                return False, f"coefficient at k={k} differs from {fam.tag}_basis"
-        return True, None
-    return run
+def _check_extraction(fam: _Family, rng, m: int, order: int, norm: str, **kw):
+    series = fam.series(m, order, normalization=norm, **kw)
+    for k in iter_multi_indices(m - 1, order):
+        expected = fam.basis(fam.index(k, normalization=norm, **kw))
+        if series.coefficient(k) != expected:
+            return False, f"coefficient at k={k} differs from {fam.tag}_basis"
+    return True, None
 
 
 # -- gf suite ----------------------------------------------------------------
 
 
-def _check_gegenbauer_gf_float():
-    def run(rng):
-        for nu in GEGENBAUER_NUS[:4]:
-            # Float coefficients take the same Horner steps to the same bits, since
-            # Fraction (+) float already computes float(Fraction) (+) float.
-            polys = [gegenbauer_poly(nu, k) for k in range(SERIES_ORDER + 1)]
-            polys = [replace(p, coeffs=tuple(map(float, p.coeffs))) for p in polys]
-            for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
-                for h in (0.25, -0.25, 0.125, -0.125):
-                    partial = sum(p(t) * h ** k for k, p in enumerate(polys))
-                    closed = gf_value(nu, t, h)
-                    if abs(partial - closed) > 1e-10:
-                        return False, f"nu={nu} t={t} h={h}: |{partial}-{closed}|"
-        return True, None
-    return run
+def _check_gegenbauer_gf_float(rng, order: int, tol: float):
+    for nu in GEGENBAUER_NUS[:4]:
+        # Float coefficients take the same Horner steps to the same bits, since
+        # Fraction (+) float already computes float(Fraction) (+) float.
+        polys = [gegenbauer_poly(nu, k) for k in range(order + 1)]
+        polys = [replace(p, coeffs=tuple(map(float, p.coeffs))) for p in polys]
+        for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            for h in (0.25, -0.25, 0.125, -0.125):
+                partial = sum(p(t) * h ** k for k, p in enumerate(polys))
+                closed = gf_value(nu, t, h)
+                if abs(partial - closed) > tol:
+                    return False, f"nu={nu} t={t} h={h}: |{partial}-{closed}|"
+    return True, None
 
 def _h2_bound(norm: str) -> float:
     return 0.5 if norm == FACTORIAL else 0.1
 
-def _check_closed_vs_series(fam: _Family, m: int, norm: str):
-    def run(rng):
-        for i in range(NUM_POINTS):
-            x = _random_ball_point(rng, m)
-            h = _random_h(rng, m, _h2_bound(norm))
-            for kw in fam.variants:
-                closed = fam.closed(m, x, h, normalization=norm, **kw)
-                partial = fam.partial_sum(m, x, h, SERIES_ORDER, normalization=norm, **kw)
-                err = fam.gap(closed, partial)
-                if err > GF_TOL:
-                    return False, f"point {i}: {fam.gap_label} {err}"
-        return True, None
-    return run
-
-def _check_harm_recurrence_step(m: int, norm: str):
-    def run(rng):
-        for i in range(NUM_POINTS):
-            x = _random_ball_point(rng, m)
-            h = _random_h(rng, m, _h2_bound(norm))
-            r2 = _sum_squares(x)
-            d = 1.0 - 2.0 * x[-1] * h[-1] + h[-1] ** 2 * r2
-            whole = gf_harm_closed(m, x, h, +1, norm)
-            inner = gf_harm_closed(m - 1, x[:-1], [v / d for v in h[:-1]], +1, norm,
-                                   unsafe_domain=True)
-            step = d ** (1.0 - m / 2.0) * inner
-            if abs(whole - step) > _relative_tol(whole):
-                return False, f"point {i}: |recursive-step| = {abs(whole - step)}"
-        return True, None
-    return run
-
-def _check_m3_formula(fam: _Family, norm: str, **kw):
-    def run(rng):
-        for i in range(NUM_POINTS):
-            x = _random_ball_point(rng, 3)
-            h = _random_h(rng, 3, _h2_bound(norm))
-            direct = fam.closed_m3(x, h, normalization=norm, **kw)
-            generic = fam.closed(3, x, h, normalization=norm, **kw)
-            partial = fam.partial_sum(3, x, h, SERIES_ORDER, normalization=norm, **kw)
-            err = fam.gap(direct, generic)
-            if err > fam.recur_tol(direct):
-                return False, f"point {i}: m3 formula vs recurrence {err}"
-            err = fam.gap(direct, partial)
+def _check_closed_vs_series(fam: _Family, rng, m: int, norm: str, points: int):
+    for i in range(points):
+        x = _random_ball_point(rng, m)
+        h = _random_h(rng, m, _h2_bound(norm))
+        for kw in fam.variants:
+            closed = fam.closed(m, x, h, normalization=norm, **kw)
+            partial = fam.partial_sum(m, x, h, SERIES_ORDER, normalization=norm, **kw)
+            err = fam.gap(closed, partial)
             if err > GF_TOL:
-                return False, f"point {i}: m3 formula vs series {err}"
-        return True, None
-    return run
+                return False, f"point {i}: {fam.gap_label} {err}"
+    return True, None
+
+def _check_harm_recurrence_step(rng, m: int, norm: str, points: int):
+    for i in range(points):
+        x = _random_ball_point(rng, m)
+        h = _random_h(rng, m, _h2_bound(norm))
+        r2 = _sum_squares(x)
+        d = 1.0 - 2.0 * x[-1] * h[-1] + h[-1] ** 2 * r2
+        whole = gf_harm_closed(m, x, h, +1, norm)
+        inner = gf_harm_closed(m - 1, x[:-1], [v / d for v in h[:-1]], +1, norm,
+                               unsafe_domain=True)
+        step = d ** (1.0 - m / 2.0) * inner
+        if abs(whole - step) > _relative_tol(whole):
+            return False, f"point {i}: |recursive-step| = {abs(whole - step)}"
+    return True, None
+
+def _check_m3_formula(fam: _Family, rng, norm: str, **kw):
+    for i in range(NUM_POINTS):
+        x = _random_ball_point(rng, 3)
+        h = _random_h(rng, 3, _h2_bound(norm))
+        direct = fam.closed_m3(x, h, normalization=norm, **kw)
+        generic = fam.closed(3, x, h, normalization=norm, **kw)
+        partial = fam.partial_sum(3, x, h, SERIES_ORDER, normalization=norm, **kw)
+        err = fam.gap(direct, generic)
+        if err > fam.recur_tol(direct):
+            return False, f"point {i}: m3 formula vs recurrence {err}"
+        err = fam.gap(direct, partial)
+        if err > GF_TOL:
+            return False, f"point {i}: m3 formula vs series {err}"
+    return True, None
 
 
 # -- lemmas suite ------------------------------------------------------------
 
 
-def _check_gegenbauer_recurrence_vs_oracle():
-    def run(rng):
-        for nu in GEGENBAUER_NUS:
-            oracle = series_oracle(nu, 12)
-            for k in range(13):
-                if gegenbauer_poly(nu, k).coeffs != oracle[k]:
-                    return False, f"nu={nu} k={k}: recurrence differs from oracle"
-        return True, None
-    return run
+def _check_gegenbauer_recurrence_vs_oracle(rng, k_max: int):
+    for nu in GEGENBAUER_NUS:
+        oracle = series_oracle(nu, k_max)
+        for k in range(k_max + 1):
+            if gegenbauer_poly(nu, k).coeffs != oracle[k]:
+                return False, f"nu={nu} k={k}: recurrence differs from oracle"
+    return True, None
 
-def _check_gegenbauer_parity():
-    def run(rng):
-        for nu in GEGENBAUER_NUS:
-            for k in range(13):
-                coeffs = gegenbauer_poly(nu, k).coeffs
-                if any(c != 0 for i, c in enumerate(coeffs) if (i - k) % 2):
-                    return False, f"nu={nu} k={k}: parity violated"
-        return True, None
-    return run
+def _check_gegenbauer_parity(rng, k_max: int):
+    for nu in GEGENBAUER_NUS:
+        for k in range(k_max + 1):
+            coeffs = gegenbauer_poly(nu, k).coeffs
+            if any(c != 0 for i, c in enumerate(coeffs) if (i - k) % 2):
+                return False, f"nu={nu} k={k}: parity violated"
+    return True, None
 
-def _check_lemma_gf(m: int, j: int, ring: str, alpha: Fraction, prefactor, factor,
-                    kmax: int = 8):
+def _lemma_gf(m: int, j: int, k_max: int, ring: str, alpha: Fraction, prefactor, factor):
     """prefactor * (1 - 2 x_m h_m + h_m^2 |x|_m^2)^alpha = sum_k factor(m, j, k) h_m^k."""
-    def run(rng):
-        c1 = MPoly.variable(m, m, ring).scale(-2)
-        c2 = radius_squared(m, ring=ring)
-        series = prefactor(m, kmax) * binomial_expand(alpha, c1, c2, m, kmax)
-        for k in range(kmax + 1):
-            key = tuple(k if i == m - 2 else 0 for i in range(m - 1))
-            if series.coefficient(key) != factor(m, j, k):
-                return False, f"k={k}: expansion differs from embedding factor"
-        return True, None
-    return run
+    c1 = MPoly.variable(m, m, ring).scale(-2)
+    c2 = radius_squared(m, ring=ring)
+    series = prefactor(m, k_max) * binomial_expand(alpha, c1, c2, m, k_max)
+    for k in range(k_max + 1):
+        key = tuple(k if i == m - 2 else 0 for i in range(m - 1))
+        if series.coefficient(key) != factor(m, j, k):
+            return False, f"k={k}: expansion differs from embedding factor"
+    return True, None
 
-def _check_plain_base_geometric(base: MPoly, order: int = 12):
-    """power_series(p) = (1 - conj(p) h_2) / (1 - 2 x_1 h_2 + h_2^2 |x|^2) exactly."""
-    def run(rng):
-        ring = base.ring
-        c1 = MPoly.variable(2, 1, ring).scale(-2)
-        c2 = MPoly.variable(2, 1, ring) ** 2 + MPoly.variable(2, 2, ring) ** 2
-        geom = binomial_expand(Fraction(-1), c1, c2, 2, order)
-        numerator = HSeries(2, order, ring, {
-            (0,): MPoly.constant(2, 1, ring),
-            (1,): -base.conjugate(),
-        })
-        closed = numerator * geom
-        if closed != power_series(base, order):
-            return False, "rational closed form differs from geometric series"
-        return True, None
-    return run
+def _check_plain_base_geometric(rng, kind: str, order: int, sign: int = -1):
+    """power_series(p) = (1 - conj(p) h_2) / (1 - 2 x_1 h_2 + h_2^2 |x|^2) exactly.
+
+    p is the harmonic base x_1 + sign*i*x_2, or the monogenic base x_1 - e12*x_2.
+    """
+    ring = GAUSSIAN if kind == "harm" else CLIFFORD
+    base = _base2(sign, ring)
+    c1 = MPoly.variable(2, 1, ring).scale(-2)
+    c2 = MPoly.variable(2, 1, ring) ** 2 + MPoly.variable(2, 2, ring) ** 2
+    geom = binomial_expand(Fraction(-1), c1, c2, 2, order)
+    numerator = HSeries(2, order, ring, {
+        (0,): MPoly.constant(2, 1, ring),
+        (1,): -base.conjugate(),
+    })
+    closed = numerator * geom
+    if closed != power_series(base, order):
+        return False, "rational closed form differs from geometric series"
+    return True, None
 
 
 # -- the range table ---------------------------------------------------------
@@ -378,7 +359,8 @@ def _extent(value: int, default: int, cap: int) -> int:
 # the family tags it runs for (None: no family), whether it runs once per variant of
 # the family, its body, the values of its parameters given the Ranges, and constant
 # parameters that only label it.  There is one check per combination of the values;
-# the body gets the family, the values in the order given, then the variant keywords.
+# its params are the values, the labels and the variant keywords, and its body is
+# called with the family, the rng and, by keyword, exactly those params.
 _TABLE = (
     ("pde.{tag}_{kernel}_zero", _BOTH, False, _check_kernel,
      lambda r: {"m": range(2, r.m_max + 1), "deg_max": [r.deg_max], "norm": NORMS}, {}),
@@ -403,21 +385,18 @@ _TABLE = (
      _check_gegenbauer_recurrence_vs_oracle, lambda r: {}, {"k_max": 12}),
     ("lemmas.gegenbauer_parity", (None,), False, _check_gegenbauer_parity,
      lambda r: {}, {"k_max": 12}),
-    # (1 - 2 x_m h_m + h_m^2 |x|_m^2)^(lift - m/2 - j), lift = 1 harmonic, 0 monogenic;
-    # the lemmas start at m = 3, which they check at m_max = 2 too
+    # (1 - 2 x_m h_m + h_m^2 |x|_m^2)^(lift - m/2 - j), lift = 1 harmonic, 0 monogenic
     ("lemmas.gf_f_embedding", (None,), False,
-     lambda m, j: _check_lemma_gf(m, j, GAUSSIAN, 1 - Fraction(m, 2) - j, HSeries.one,
-                                  embedding_F),
-     lambda r: {"m": range(3, max(r.m_max, 3) + 1), "j": range(4)}, {"k_max": 8}),
+     lambda rng, m, j, k_max: _lemma_gf(m, j, k_max, GAUSSIAN, 1 - Fraction(m, 2) - j,
+                                        HSeries.one, embedding_F),
+     lambda r: {"m": range(3, r.m_max + 1), "j": range(4)}, {"k_max": 8}),
     ("lemmas.gf_x_embedding", (None,), False,
-     lambda m, j: _check_lemma_gf(m, j, CLIFFORD, -Fraction(m, 2) - j, _monogenic_prefactor,
-                                  embedding_X),
-     lambda r: {"m": range(3, max(r.m_max, 3) + 1), "j": range(4)}, {"k_max": 8}),
-    ("lemmas.plain_base_geometric", (None,), False,
-     lambda sign: _check_plain_base_geometric(_base2(sign, GAUSSIAN)),
+     lambda rng, m, j, k_max: _lemma_gf(m, j, k_max, CLIFFORD, -Fraction(m, 2) - j,
+                                        _monogenic_prefactor, embedding_X),
+     lambda r: {"m": range(3, r.m_max + 1), "j": range(4)}, {"k_max": 8}),
+    ("lemmas.plain_base_geometric", (None,), False, _check_plain_base_geometric,
      lambda r: {"sign": (+1, -1)}, {"kind": "harm", "order": 12}),
-    ("lemmas.plain_base_geometric", (None,), False,
-     lambda: _check_plain_base_geometric(_base2(-1, CLIFFORD)),
+    ("lemmas.plain_base_geometric", (None,), False, _check_plain_base_geometric,
      lambda r: {}, {"kind": "mon", "order": 12}),
 )
 
@@ -436,7 +415,8 @@ def build_checks(suites, m_max: int, deg_max: int, order: int) -> list[Check]:
             for point in product(*grid.values()):
                 for kw in fam.variants if variants else ({},):
                     params = {**dict(zip(grid, point)), **labels, **kw}
-                    checks.append(Check(label, params, body(*head, *point, **kw)))
+                    fn = functools.partial(body, *head, **params)
+                    checks.append(Check(label, params, fn))
     return checks
 
 

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import (BasisIndex, DomainError, HSeries, MonIndex, MPoly, embedding_F,
-                     embedding_f_value, embedding_X, embedding_x_value, enumerate_harm_indices,
-                     enumerate_mon_indices, gamma_half, gf_harm_closed, gf_harm_closed_m3,
-                     gf_mon_closed, gf_mon_closed_m3, gf_value, iter_multi_indices,
-                     monomial_ball_integral, pi_power)
+from gtbasis import (BasisIndex, DomainError, HSeries, MonIndex, MPoly, PiScaled,
+                     embedding_F, embedding_f_value, embedding_X, embedding_x_value,
+                     enumerate_harm_indices, enumerate_mon_indices, gamma_half,
+                     gegenbauer_poly, gf_harm_closed, gf_harm_closed_m3, gf_mon_closed,
+                     gf_mon_closed_m3, gf_value, iter_multi_indices, monomial_ball_integral,
+                     pi_power)
 from gtbasis.verify import run_verify
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -239,3 +240,37 @@ def test_labels_and_exponents_accept_integer_like_values():
     assert MonIndex((_Index(0), _Index(1))) == MonIndex((0, 1))
     assert MPoly.monomial(2, (_Index(1), 0), 1) == MPoly.variable(2, 1)
     assert HSeries(3, 2, terms={(_Index(0), 1): _ONE3}).terms == {(0, 1): _ONE3}
+
+
+# The last counts: a document naming pi^(5/4) read back as pi, a series of order
+# 1.5 was written out again, and C_k^nu for k = 2.0 was a TypeError on a cold
+# cache but C_2^1 once C_2^1 was cached
+@pytest.mark.parametrize("make", [
+    lambda: PiScaled(1, 1.5),
+    lambda: PiScaled(0, 0.5),
+    lambda: PiScaled.from_json({"q_num": 1, "q_den": 2, "sqrt_pi_pow": 2.5}),
+    lambda: HSeries(3, 1.5),
+    lambda: HSeries(3.0, 2),
+    lambda: HSeries.from_json({"m": 3, "order": 1.5, "terms": []}),
+    lambda: gegenbauer_poly(1, 2.5),
+    lambda: gegenbauer_poly(1, Fraction(2)),
+], ids=["pi-power", "zero-pi-power", "pi-power-json", "series-order", "series-dim",
+        "series-order-json", "gegenbauer-k", "gegenbauer-k-fraction"])
+def test_counts_refuse_non_integers(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+@pytest.mark.parametrize("nu", [1, Fraction(7, 3)])
+def test_gegenbauer_poly_refuses_a_float_degree_on_a_warm_cache_too(nu):
+    with pytest.raises(ValueError, match="must be an integer"):
+        gegenbauer_poly(nu, 2.0)
+    gegenbauer_poly(Fraction(nu), 2)
+    with pytest.raises(ValueError, match="must be an integer"):
+        gegenbauer_poly(nu, 2.0)
+
+
+def test_counts_accept_integer_like_values():
+    assert PiScaled(1, _Index(2)).s == 2
+    assert HSeries(_Index(3), _Index(2)).order == 2
+    assert gegenbauer_poly(1, _Index(2)) == gegenbauer_poly(Fraction(1), 2)

@@ -2,18 +2,24 @@
 
 The checks come from one range table.  At or below the defaults the check list
 is pinned; above them every row grows with its parameters, so that no check
-reports a pass for a range it never ran.  These tests build checks and run none.
+reports a pass for a range it never ran, and no check runs at a dimension above
+m_max.  Each check's body is called with exactly the params its report prints.
+These tests build checks and run none.
 """
 
+import functools
 import hashlib
+import inspect
 import json
 from collections import Counter
 from itertools import product
 
-from gtbasis.verify import _TABLE, DEFAULT, SUITES, Ranges, build_checks
+import pytest
+
+from gtbasis.verify import _TABLE, DEFAULT, SUITES, Ranges, _Family, build_checks
 
 # sha256 over m_max 2..4, deg_max 0..4, order 0..3 of the sorted (name, params) list
-DEFAULT_BOX = "9ebd9143bc2dbefbf6e2a8ee0c222b111fe9ea7739deb948a3912f50eaa8b41d"
+DEFAULT_BOX = "4b12b3fcd9c978355d0fff5894127f9e1146a8e05e921c51dc3a809b38cc5229"
 
 # the parameter that sizes each parameter a row can take
 SIZED_BY = {"m": "m_max", "m_max": "m_max", "deg_max": "deg_max", "order": "order"}
@@ -47,3 +53,27 @@ def test_every_row_reaches_its_parameters_above_the_defaults():
         for step in range(4):
             gaps = _gaps(values, Ranges(*(p + step for p in DEFAULT)))
             assert gaps == {key: CAPPED.get((name, tags), {}).get(key, 0) for key in gaps}, name
+
+
+def _dimension(check) -> int:
+    """The largest dimension a check runs at: its m, its m_max, 3 for the m = 3 formulas."""
+    if "m3_closed_formula" in check.name:
+        return 3
+    return check.params.get("m", check.params.get("m_max", 2))
+
+
+@pytest.mark.parametrize("m_max", range(2, 7))
+def test_no_check_runs_above_m_max(m_max):
+    for check in build_checks(SUITES, m_max, DEFAULT.deg_max, DEFAULT.order):
+        assert _dimension(check) <= m_max, (check.name, check.params)
+
+
+@pytest.mark.parametrize("ranges", [(4, 4, 3), (6, 6, 5)])
+def test_every_body_is_called_with_the_params_its_report_prints(ranges):
+    for check in build_checks(SUITES, *ranges):
+        fn = check.fn
+        assert isinstance(fn, functools.partial), check.name
+        assert fn.keywords == check.params, check.name
+        assert all(isinstance(arg, _Family) for arg in fn.args), check.name
+        # the body takes the rng and those params, and needs nothing else
+        inspect.signature(fn.func).bind(*fn.args, None, **fn.keywords)
