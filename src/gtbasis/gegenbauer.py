@@ -81,7 +81,7 @@ def series_oracle(nu: Fraction, order: int) -> list[tuple[Fraction, ...]]:
     Expands sum_n binom(-nu, n) * u^n with u = -2*t*h + h^2 using plain dict
     arithmetic.  Entry k of the result is the coefficient tuple of C_k^nu.
     """
-    nu = _check_nu(nu)
+    nu, order = _check_nu(nu), _integer(order, "order")
     # h-degree -> {t-degree: Fraction}
     out: list[dict] = [dict() for _ in range(order + 1)]
     u = {1: {1: Fraction(-2)}, 2: {0: Fraction(1)}}

@@ -60,6 +60,7 @@ def _check_norm(normalization: str) -> str:
 
 def iter_multi_indices(parts: int, total: int):
     """All tuples of `parts` non-negative ints with sum <= total, lexicographic."""
+    parts, total = _integer(parts, "parts"), _integer(total, "total")
     if parts < 0:
         raise ValueError(f"parts must be non-negative, got {parts}")
     if parts == 0:
@@ -125,6 +126,9 @@ class DomainBox:
     """
 
     m: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", _integer(self.m, "the dimension m"))
 
     def bound(self, r: int):
         if not 2 <= r <= self.m:
@@ -269,6 +273,7 @@ def _sum_squares(values) -> float:
 
 
 def _check_point(m: int, x, h, unsafe_domain: bool):
+    m = _integer(m, "the dimension m")
     if m < 2:
         raise ValueError("dimension m must be at least 2")
     x = [float(v) for v in x]
@@ -415,6 +420,7 @@ def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
 
 def _gf_series(base: MPoly, m: int, order: int, normalization: str) -> HSeries:
     """exp(base*h_2) or the plain power series, lifted to dimension m."""
+    m = _integer(m, "the dimension m")
     if m < 2:
         raise ValueError("dimension must be at least 2")
     if normalization == FACTORIAL:
@@ -437,15 +443,12 @@ def gf_harm_series(m: int, order: int, sign=+1,
 def _f_inputs(m: int, x) -> tuple:
     """(x_m, |x|_m^2) as floats: all that an F row at dimension m reads of the point.
 
-    A square beyond the float range is a FLOAT_OVERFLOW ValueError.
+    |x|_m^2 is _sum_squares; one that is not finite is a FLOAT_OVERFLOW ValueError.
     """
     coords = [float(x[i]) for i in range(m)]
-    r2 = 0.0
-    try:
-        for v in coords:  # left to right, as in _sum_squares; v ** 2 raises on overflow
-            r2 += v ** 2
-    except OverflowError as exc:
-        raise ValueError(FLOAT_OVERFLOW) from exc
+    r2 = _sum_squares(coords)
+    if not math.isfinite(r2):
+        raise ValueError(FLOAT_OVERFLOW)
     return coords[-1], r2
 
 
@@ -510,13 +513,15 @@ def _blade_sums(terms: list, width: int) -> list:
     return out
 
 
-def _partial_sum(m: int, x, h, order: int, base_values: list, split,
+def _partial_sum(x, h, order: int, sign: int, normalization: str, entries, split,
                  times_u=None) -> list:
-    """Sum over |k| <= order of factor_m ... factor_3 * base_values[k_2] * h^k.
+    """Sum over |k| <= order of factor_m ... factor_3 * base_{k_2} * h^k at a checked point.
 
+    m = len(x), and base_{k_2} is entries(z^{k_2}) for z = x_1 + sign*i*x_2
+    (z^{k_2} / k_2! in the factorial normalization, from _base_powers).
     Values are dense coefficient lists: one complex entry for a harmonic
     value, and for a multivector the 2^r blade coefficients of R_{0,r} at
-    dimension r, so a monogenic value grows 4 -> 8 -> ... -> 2^m entries.
+    dimension r (e12 read as i), so a monogenic value grows 4 -> 8 -> ... -> 2^m.
     Every embedding factor is split as a + b*U_r, where a and b are scalars
     and U_r = sum_{i<r} x_i e_i e_r; split(r, table, j, k_r) returns (a, b)
     from the dimension-r table of F values (_f_table).  times_u(r, x, s, v)
@@ -539,11 +544,13 @@ def _partial_sum(m: int, x, h, order: int, base_values: list, split,
     A power of an h entry beyond the float range, or a total that is not
     finite, is a FLOAT_OVERFLOW ValueError, as in the closed forms.
     """
+    order = _integer(order, "order")
     if order < 0:
         raise ValueError("order must be non-negative")
+    base_values = _base_powers(complex(x[0], sign * x[1]), order, normalization)
     h2pow = _float_powers(h[0], order)
-    level = [[c * h2pow[s] for c in v] for s, v in enumerate(base_values)]
-    for r in range(3, m + 1):
+    level = [[c * h2pow[s] for c in entries(v)] for s, v in enumerate(base_values)]
+    for r in range(3, len(x) + 1):
         table = _f_table(r, order, x)
         hpow = _float_powers(h[r - 2], order)
         width = len(level[0])
@@ -571,5 +578,4 @@ def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,
     sign = _norm_sign(sign)
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain=True)
-    base_values = _base_powers(complex(x[0], sign * x[1]), order, normalization)
-    return _partial_sum(m, x, h, order, [[v] for v in base_values], _harm_split)[0]
+    return _partial_sum(x, h, order, sign, normalization, lambda z: [z], _harm_split)[0]

@@ -176,6 +176,7 @@ def binomial_expand(alpha, c1: MPoly, c2: MPoly, var: int, order: int) -> HSerie
 
 def exp_series(p: MPoly, order: int) -> HSeries:
     """exp(p*h_2) truncated: coefficient of h_2^k is p^k / k!."""
+    order = _integer(order, "order")
     acc = MPoly.constant(p.dim, 1, p.ring)
     terms = {}
     for k in range(order + 1):
@@ -187,6 +188,7 @@ def exp_series(p: MPoly, order: int) -> HSeries:
 
 def power_series(p: MPoly, order: int) -> HSeries:
     """Geometric-style base sum p^k h_2^k (the plain normalization base)."""
+    order = _integer(order, "order")
     acc = MPoly.constant(p.dim, 1, p.ring)
     terms = {}
     for k in range(order + 1):
@@ -224,6 +226,7 @@ def lift_step(series: HSeries, order: int) -> HSeries:
     (monogenic) one has alpha = -m/2, and its result is then
     left-multiplied by the two-term series 1 + x*h_m*e_m.
     """
+    order = _integer(order, "order")
     ring = series.ring
     m = series.m + 1
     alpha = Fraction(2 - m, 2) if ring == GAUSSIAN else Fraction(-m, 2)

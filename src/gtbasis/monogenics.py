@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .clifford import E12, Multivector, blade_product
 from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base2, _base2_value,
-                        _base_powers, _basis_product, _check_norm, _check_point,
+                        _basis_product, _check_norm, _check_point,
                         _closed_form, _factor_label, _gf_series, _Index, _kernel_m3,
                         _partial_sum, embedding_F, embedding_f_value, iter_multi_indices)
 from .hseries import HSeries, _underline_x_em
@@ -185,10 +185,9 @@ def gf_mon_partial_sum(m: int, x, h, order: int,
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain=True)
     # x_1 - e_12 x_2 spans a copy of C (e_12^2 = -1), so its powers are complex ones.
-    base_values = [[z.real, 0.0, 0.0, z.imag]
-                   for z in _base_powers(complex(x[0], -x[1]), order, normalization)]
-    total = _partial_sum(m, x, h, order, base_values, _mon_split, _u_times)
-    return Multivector(m, dict(enumerate(total)))
+    total = _partial_sum(x, h, order, -1, normalization,
+                         lambda z: [z.real, 0.0, 0.0, z.imag], _mon_split, _u_times)
+    return Multivector(len(x), dict(enumerate(total)))
 
 
 __all__ = [

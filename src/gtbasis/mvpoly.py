@@ -36,11 +36,14 @@ _RINGS = (GAUSSIAN, CLIFFORD)
 _EXACT = (int, Fraction, GaussianRational)
 
 
-def _check_space(dim: int, ring: str) -> None:
+def _check_space(dim: int, ring: str) -> int:
+    """dim as an int; a non-integral or non-positive dimension or an unknown ring is a ValueError."""
+    dim = _integer(dim, "the dimension")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if ring not in _RINGS:
         raise ValueError(f"unknown ring {ring!r}")
+    return dim
 
 
 def _check_exps(exps, dim: int) -> tuple:
@@ -136,7 +139,7 @@ class MPoly:
         GaussianRational, or in the clifford ring a Multivector of R_{0,dim}
         with rational entries.
         """
-        _check_space(dim, ring)
+        dim = _check_space(dim, ring)
         acc: dict = {}
         for exps, coeff in (terms or {}).items():
             exps = _check_exps(exps, dim)
@@ -183,11 +186,13 @@ class MPoly:
 
     @classmethod
     def constant(cls, dim: int, value, ring: str = GAUSSIAN) -> "MPoly":
+        dim = _check_space(dim, ring)
         return cls(dim, ring, {(0,) * dim: value})
 
     @classmethod
     def variable(cls, dim: int, j: int, ring: str = GAUSSIAN) -> "MPoly":
         """The coordinate polynomial x_j, 1-based."""
+        dim, j = _check_space(dim, ring), _integer(j, "the variable index")
         if not 1 <= j <= dim:
             raise ValueError(f"variable index {j} out of range 1..{dim}")
         exps = tuple(1 if i == j - 1 else 0 for i in range(dim))
@@ -507,9 +512,8 @@ class MPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "MPoly":
-        dim = data["m"]
         ring = data["ring"]
-        _check_space(dim, ring)
+        dim = _check_space(data["m"], ring)
         acc: dict = {}
         for entry in data["terms"]:
             blade = entry.get("blade", 0)
@@ -525,6 +529,7 @@ class MPoly:
 
 def radius_squared(dim: int, ring: str = GAUSSIAN) -> MPoly:
     """|x|^2 = x_1^2 + ... + x_dim^2 as a polynomial in dim variables."""
+    dim = _check_space(dim, ring)
     terms = {}
     for j in range(dim):
         exps = tuple(2 if i == j else 0 for i in range(dim))

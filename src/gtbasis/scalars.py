@@ -171,9 +171,10 @@ def format_gaussian(value) -> str:
     return f"{re}{sign}{imtxt}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: n = 2.0 is refused on a warm cache too
 def binom_frac(alpha: Fraction, n: int) -> Fraction:
     """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-n+1)/n!."""
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     num = Fraction(1)

@@ -1,28 +1,27 @@
 """Machine verification of every identity behind the basis construction.
 
 Each check is a plain function returning pass/fail plus a first-counterexample
-witness, called with its rng and the params its report prints.  Checks draw
-their randomness from a splittable seed sequence keyed by (seed, check name,
-parameters), so the report content is identical for a given seed regardless
-of execution order.  The streams are numpy's
-``Generator(PCG64(SeedSequence(...)))`` reproduced in pure Python (``_pcg``),
-so reports are the ones numpy's generator gave and the package needs no
-numpy at run time.  Every check and its ranges live in one table,
-``_TABLE``, where each range is a function of (m_max, deg_max, order).
+witness, called with its rng and the params its report prints.  A check's rng
+is ``random.Random`` seeded with the JSON text of [seed, check name, params],
+so each check has its own stream, the same on every Python version and
+independent of the order the checks run in.  A passing result reports only
+its name, params and status, so no report holds a sampled value: only the
+witness of a failing check depends on the stream.  Every check and its
+ranges live in one table, ``_TABLE``, where each range is a function of
+(m_max, deg_max, order).
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
+import random
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 
-from ._pcg import PCG64
 from .errors import _integer
 from .gegenbauer import gegenbauer_poly, gf_value, series_oracle
 from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _base2, _sum_squares,
@@ -80,11 +79,9 @@ class Check:
         return CheckResult(self.name, self.params, "pass" if ok else "fail", witness)
 
 
-def _check_rng(seed: int, name: str, params: dict) -> PCG64:
-    key = json.dumps([name, params], sort_keys=True).encode()
-    digest = hashlib.sha256(key).digest()
-    words = [int.from_bytes(digest[i:i + 8], "big") for i in range(0, 32, 8)]
-    return PCG64([seed] + words)
+def _check_rng(seed: int, name: str, params: dict) -> random.Random:
+    # a str seed is hashed with SHA-512: the same stream on every Python version
+    return random.Random(json.dumps([seed, name, params], sort_keys=True))
 
 
 # -- random data -------------------------------------------------------------
@@ -92,7 +89,7 @@ def _check_rng(seed: int, name: str, params: dict) -> PCG64:
 
 def _random_ball_point(rng, m: int) -> list:
     while True:
-        x = rng.uniform(-1.0, 1.0, size=m)
+        x = [rng.uniform(-1.0, 1.0) for _ in range(m)]
         if _sum_squares(x) <= 1.0:
             return x
 
@@ -107,7 +104,7 @@ def _random_h(rng, m: int, h2_bound: float) -> list:
 
 
 def _random_fraction(rng) -> Fraction:
-    return Fraction(rng.integers(-9, 10), rng.integers(1, 10))
+    return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
 
 
 def _random_clifford_poly(rng, m: int, deg: int, nterms: int = 6) -> MPoly:
@@ -116,10 +113,10 @@ def _random_clifford_poly(rng, m: int, deg: int, nterms: int = 6) -> MPoly:
         exps = []
         left = deg
         for _ in range(m):
-            e = rng.integers(0, left + 1)
+            e = rng.randrange(0, left + 1)
             exps.append(e)
             left -= e
-        key = (tuple(exps), rng.integers(0, 1 << m))
+        key = (tuple(exps), rng.randrange(0, 1 << m))
         terms[key] = terms.get(key, 0) + _random_fraction(rng)
     return MPoly._make(m, CLIFFORD, terms)
 
@@ -193,8 +190,8 @@ def _check_kernel(fam: _Family, rng, m: int, deg_max: int, norm: str):
 
 def _check_factorization(rng, m_max: int, samples: int):
     for i in range(samples):
-        m = rng.integers(2, m_max + 1)
-        deg = rng.integers(0, 6)
+        m = rng.randrange(2, m_max + 1)
+        deg = rng.randrange(0, 6)
         poly = _random_clifford_poly(rng, m, deg)
         if -poly.dirac().dirac() != poly.laplacian():
             return False, f"sample {i}: -dirac^2 != laplacian (m={m}, deg={deg})"

@@ -188,8 +188,7 @@ def test_cli_infinite_phase_of_the_reported_call_exits_2():
 @pytest.mark.parametrize("evaluate, args", [
     # h_2^2 = 1e600: the power itself raises OverflowError
     (gf_mon_partial_sum, (2, [0.5, 0.5], [1e300], 3)),
-    # x_1^2 = 1e400 in |x|_3^2 of the dimension-3 F table
-    (gf_harm_partial_sum, (3, [1e200, 0.0, 0.0], [0.1, 0.1], 1)),
+    (gf_harm_partial_sum, (3, [0.5, 0.5, 0.0], [1e300, 0.1], 2)),
 ])
 def test_partial_sum_power_overflow_is_an_overflow_error(evaluate, args):
     with pytest.raises(ValueError, match="overflows the float range") as info:
@@ -202,6 +201,8 @@ def test_partial_sum_power_overflow_is_an_overflow_error(evaluate, args):
     (gf_harm_partial_sum, (2, [1e308, 1e-300], [-0.84], 2)),
     # the k_3 = 1 term of the scalar part, 2 * x_3 * h_3 = 1.8e308, is +inf
     (gf_mon_partial_sum, (3, [0.9, 0.1, 0.9], [0.1, 1e308], 1)),
+    # x_1 * x_1 = inf in |x|_3^2 of the dimension-3 F table
+    (gf_harm_partial_sum, (3, [1e200, 0.0, 0.0], [0.1, 0.1], 1)),
 ])
 def test_non_finite_partial_sum_is_an_overflow_error(evaluate, args):
     with pytest.raises(ValueError, match="overflows the float range"):

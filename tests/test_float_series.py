@@ -62,6 +62,13 @@ def test_embedding_f_value_conventions():
             embedding_f_value(*bad, POINTS[3])
 
 
+def test_embedding_f_value_squares_as_the_closed_forms_do():
+    # |x|_m^2 is summed from v * v, the correctly rounded square; glibc's v ** 2
+    # gives a neighbouring float for this v
+    v = -0.000322255896563137
+    assert embedding_f_value(3, 0, 2, [v, 0.0, 0.0]) == -(v * v) / 2
+
+
 def _h(m: int) -> list:
     return [0.3, -0.2, 0.05, -0.01][: m - 1]
 

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import (BasisIndex, DomainError, HSeries, MonIndex, MPoly, PiScaled,
-                     embedding_F, embedding_f_value, embedding_X, embedding_x_value,
-                     enumerate_harm_indices, enumerate_mon_indices, gamma_half,
-                     gegenbauer_poly, gf_harm_closed, gf_harm_closed_m3, gf_mon_closed,
-                     gf_mon_closed_m3, gf_value, iter_multi_indices, monomial_ball_integral,
-                     pi_power)
+from gtbasis import (BasisIndex, DomainBox, DomainError, HSeries, MonIndex, MPoly, PiScaled,
+                     binom_frac, embedding_F, embedding_f_value, embedding_X,
+                     embedding_x_value, enumerate_harm_indices, enumerate_mon_indices,
+                     gamma_half, gegenbauer_poly, gf_harm_closed, gf_harm_closed_m3,
+                     gf_harm_partial_sum, gf_harm_series, gf_mon_closed, gf_mon_closed_m3,
+                     gf_mon_partial_sum, gf_mon_series, gf_value, iter_multi_indices,
+                     monomial_ball_integral, pi_power, radius_squared, series_oracle)
 from gtbasis.verify import run_verify
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -254,8 +255,31 @@ def test_labels_and_exponents_accept_integer_like_values():
     lambda: HSeries.from_json({"m": 3, "order": 1.5, "terms": []}),
     lambda: gegenbauer_poly(1, 2.5),
     lambda: gegenbauer_poly(1, Fraction(2)),
+    lambda: DomainBox(3.5).bound(3),
+    lambda: DomainBox(3.0).bounds(),
+    lambda: gf_harm_closed(3.0, [0.1, 0.2, 0.3], [0.1, 0.1], unsafe_domain=True),
+    lambda: gf_mon_closed(3.0, [0.1, 0.2, 0.3], [0.1, 0.1]),
+    lambda: enumerate_mon_indices(3.0, 2),
+    lambda: enumerate_harm_indices(3, 2.0),
+    lambda: (binom_frac(Fraction(1, 2), 2), binom_frac(Fraction(1, 2), 2.0)),
+    lambda: binom_frac(1, 2.5),
+    lambda: series_oracle(1, 2.0),
+    lambda: gf_harm_series(3, 2.0),
+    lambda: gf_mon_series(3, 1.5),
+    lambda: gf_harm_series(3.0, 2),
+    lambda: gf_harm_partial_sum(3, [0.1, 0.2, 0.3], [0.1, 0.1], 2.5),
+    lambda: gf_mon_partial_sum(3.0, [0.1, 0.2, 0.3], [0.1, 0.1], 2),
+    lambda: list(iter_multi_indices(2, 2.5)),
+    lambda: MPoly.variable(2.0, 1),
+    lambda: MPoly.variable(2, 1.0),
+    lambda: radius_squared(2.5),
 ], ids=["pi-power", "zero-pi-power", "pi-power-json", "series-order", "series-dim",
-        "series-order-json", "gegenbauer-k", "gegenbauer-k-fraction"])
+        "series-order-json", "gegenbauer-k", "gegenbauer-k-fraction", "box-dim",
+        "box-dim-float", "closed-dim-unsafe", "closed-dim", "mon-indices-dim",
+        "harm-indices-degree", "binom-n-warm", "binom-n", "oracle-order",
+        "harm-series-order", "mon-series-order", "harm-series-dim", "partial-sum-order",
+        "partial-sum-dim", "multi-indices-total", "variable-dim", "variable-index",
+        "radius-dim"])
 def test_counts_refuse_non_integers(make):
     with pytest.raises(ValueError, match="must be an integer"):
         make()
@@ -274,3 +298,14 @@ def test_counts_accept_integer_like_values():
     assert PiScaled(1, _Index(2)).s == 2
     assert HSeries(_Index(3), _Index(2)).order == 2
     assert gegenbauer_poly(1, _Index(2)) == gegenbauer_poly(Fraction(1), 2)
+    x, h = [0.1, 0.2, 0.3], [0.1, 0.1]
+    assert DomainBox(_Index(3)).bounds() == DomainBox(3).bounds()
+    assert binom_frac(Fraction(1, 2), _Index(2)) == Fraction(-1, 8)
+    assert series_oracle(1, _Index(3)) == series_oracle(1, 3)
+    assert gf_harm_closed(_Index(3), x, h) == gf_harm_closed(3, x, h)
+    assert gf_harm_partial_sum(_Index(3), x, h, _Index(2)) == gf_harm_partial_sum(3, x, h, 2)
+    assert gf_mon_partial_sum(_Index(3), x, h, _Index(2)) == gf_mon_partial_sum(3, x, h, 2)
+    assert gf_mon_series(_Index(3), _Index(2)) == gf_mon_series(3, 2)
+    assert list(iter_multi_indices(_Index(2), _Index(2))) == list(iter_multi_indices(2, 2))
+    assert MPoly.variable(_Index(2), _Index(1)) == MPoly.variable(2, 1)
+    assert radius_squared(_Index(2)) == radius_squared(2)
