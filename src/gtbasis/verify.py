@@ -5,8 +5,8 @@ witness, called with its rng and the params its report prints.  A check's rng
 is ``random.Random`` seeded with the JSON text of [seed, check name, params],
 so each check has its own stream, the same on every Python version and
 independent of the order the checks run in.  A passing result reports only
-its name, params and status, so no report holds a sampled value: only the
-witness of a failing check depends on the stream.  Every check and its
+its name, params and status, so a passing report holds no sampled value:
+only the witness of a failing check depends on the stream.  Every check and its
 ranges live in one table, ``_TABLE``, where each range is a function of
 (m_max, deg_max, order).
 """
