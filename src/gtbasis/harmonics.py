@@ -71,6 +71,14 @@ def iter_multi_indices(parts: int, total: int):
             yield (first,) + rest
 
 
+def _dimension(m) -> int:
+    """m as an int of at least 2; anything else is a ValueError."""
+    m = _integer(m, "the dimension m")
+    if m < 2:
+        raise ValueError("dimension must be at least 2")
+    return m
+
+
 @dataclass(frozen=True)
 class _Index:
     """What every basis label shares: the multi-index (k_2..k_m) and its checks.
@@ -128,7 +136,7 @@ class DomainBox:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _integer(self.m, "the dimension m"))
+        object.__setattr__(self, "m", _dimension(self.m))
 
     def bound(self, r: int):
         if not 2 <= r <= self.m:
@@ -253,7 +261,7 @@ def enumerate_harm_indices(m: int, deg_max: int,
     """All basis labels with |k| <= deg_max, deduplicated: k_2 = 0 appears with + only."""
     _check_norm(normalization)
     out = []
-    for k in iter_multi_indices(m - 1, deg_max):
+    for k in iter_multi_indices(_dimension(m) - 1, deg_max):
         out.append(BasisIndex(k, +1, normalization))
         if k[0] > 0:
             out.append(BasisIndex(k, -1, normalization))
@@ -273,9 +281,7 @@ def _sum_squares(values) -> float:
 
 
 def _check_point(m: int, x, h, unsafe_domain: bool):
-    m = _integer(m, "the dimension m")
-    if m < 2:
-        raise ValueError("dimension m must be at least 2")
+    m = _dimension(m)
     x = [float(v) for v in x]
     h = [float(v) for v in h]
     if len(x) != m:
@@ -420,15 +426,13 @@ def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
 
 def _gf_series(base: MPoly, m: int, order: int, normalization: str) -> HSeries:
     """exp(base*h_2) or the plain power series, lifted to dimension m."""
-    m = _integer(m, "the dimension m")
-    if m < 2:
-        raise ValueError("dimension must be at least 2")
+    m = _dimension(m)
     if normalization == FACTORIAL:
         series = exp_series(base, order)
     else:
         series = power_series(base, order)
     for _ in range(3, m + 1):
-        series = lift_step(series, order)
+        series = lift_step(series)
     return series
 
 

@@ -18,6 +18,14 @@ from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _check_space, radius_squared
 from .scalars import binom_frac
 
 
+def _h_index(k, m: int) -> tuple:
+    """k as a tuple of m - 1 non-negative ints; anything else is a ValueError."""
+    k = tuple(_integer(v, "an h multi-index entry") for v in k)
+    if len(k) != m - 1 or any(v < 0 for v in k):
+        raise ValueError(f"bad h multi-index {k} for dimension {m}")
+    return k
+
+
 class HSeries:
     """Immutable truncated series: multi-index (k_2..k_m) -> MPoly in x."""
 
@@ -32,9 +40,7 @@ class HSeries:
         _check_space(m, ring)
         clean = {}
         for k, poly in (terms or {}).items():
-            k = tuple(_integer(v, "an h multi-index entry") for v in k)
-            if len(k) != m - 1 or any(v < 0 for v in k):
-                raise ValueError(f"bad h multi-index {k} for dimension {m}")
+            k = _h_index(k, m)
             if sum(k) > order:
                 continue
             if not isinstance(poly, MPoly):
@@ -53,11 +59,14 @@ class HSeries:
 
     @classmethod
     def one(cls, m: int, order: int, ring: str = GAUSSIAN) -> "HSeries":
-        k0 = (0,) * (m - 1)
-        return cls(m, order, ring, {k0: MPoly.constant(m, 1, ring)})
+        m = _integer(m, "series dimension")
+        return cls(m, order, ring, {(0,) * (m - 1): MPoly.constant(m, 1, ring)})
 
     def coefficient(self, k) -> MPoly:
-        k = tuple(k)
+        """The coefficient at h^k; an index the truncated series cannot know is a ValueError."""
+        k = _h_index(k, self.m)
+        if sum(k) > self.order:
+            raise ValueError(f"h multi-index {k} is beyond the series order {self.order}")
         return self.terms.get(k, MPoly.zero(self.m, self.ring))
 
     def _require_same(self, other: "HSeries") -> None:
@@ -114,43 +123,30 @@ class HSeries:
         return cls(data["m"], data["order"], data.get("ring", default), terms)
 
 
-def _u_powers(c1: MPoly, c2: MPoly, order: int) -> list[dict]:
-    """Truncated powers of u = c1*h + c2*h^2; entry n maps h-degree -> MPoly."""
-    ring = c1.ring
-    u = {}
-    if not c1.is_zero():
-        u[1] = c1
-    if not c2.is_zero():
-        u[2] = c2
-    powers = [{0: MPoly.constant(c1.dim, 1, ring)}]
+def _binomial_coeffs(alpha: Fraction, c1: MPoly, c2: MPoly, order: int) -> list[MPoly]:
+    """Coefficient polynomials of (1 + u)^alpha, u = c1*h + c2*h^2, up to h**order.
+
+    Entry n of the power table maps h-degree -> MPoly for the truncated u**n.
+    """
+    u = {hdeg: c for hdeg, c in ((1, c1), (2, c2)) if not c.is_zero()}
+    powers = [{0: MPoly.constant(c1.dim, 1, c1.ring)}]
     for _ in range(order):
-        prev = powers[-1]
         nxt: dict = {}
-        for ha, pa in prev.items():
+        for ha, pa in powers[-1].items():
             for hb, pb in u.items():
                 h = ha + hb
                 if h > order:
                     continue
                 prod = pa * pb
-                if h in nxt:
-                    nxt[h] = nxt[h] + prod
-                else:
-                    nxt[h] = prod
+                nxt[h] = nxt[h] + prod if h in nxt else prod
         powers.append(nxt)
-    return powers
-
-
-def _binomial_coeffs(alpha: Fraction, upowers: list[dict], order: int,
-                     dim: int, ring: str) -> list[MPoly]:
-    """Coefficient polynomials of (1 + u)^alpha up to h**order from precomputed powers."""
-    coeffs = [MPoly.zero(dim, ring) for _ in range(order + 1)]
-    for n in range(order + 1):
+    coeffs = [MPoly.zero(c1.dim, c1.ring) for _ in range(order + 1)]
+    for n, power in enumerate(powers):
         cn = binom_frac(Fraction(alpha), n)
         if cn == 0:
             continue
-        for hdeg, poly in upowers[n].items():
-            if hdeg <= order:
-                coeffs[hdeg] = coeffs[hdeg] + poly.scale(cn)
+        for hdeg, poly in power.items():
+            coeffs[hdeg] = coeffs[hdeg] + poly.scale(cn)
     return coeffs
 
 
@@ -163,12 +159,11 @@ def binomial_expand(alpha, c1: MPoly, c2: MPoly, var: int, order: int) -> HSerie
     if c1.dim != c2.dim or c1.ring != c2.ring:
         raise ValueError("c1/c2 dimension or ring mismatch")
     m = c1.dim
+    var, order = _integer(var, "the h variable index"), _integer(order, "order")
     if not 2 <= var <= m:
         raise ValueError(f"h variable index {var} out of range 2..{m}")
-    upowers = _u_powers(c1, c2, order)
-    coeffs = _binomial_coeffs(Fraction(alpha), upowers, order, m, c1.ring)
     terms = {}
-    for j, poly in enumerate(coeffs):
+    for j, poly in enumerate(_binomial_coeffs(alpha, c1, c2, order)):
         k = tuple(j if i == var - 2 else 0 for i in range(m - 1))
         terms[k] = poly
     return HSeries(m, order, c1.ring, terms)
@@ -206,47 +201,38 @@ def _underline_x_em(m: int) -> MPoly:
         for j in range(1, m)})
 
 
-def _monogenic_prefactor(m: int, order: int) -> HSeries:
-    """The two-term series 1 + x*h_m*e_m, with x*e_m = ux*e_m - x_m."""
-    k0 = (0,) * (m - 1)
-    k1 = (0,) * (m - 2) + (1,)
-    return HSeries(m, order, CLIFFORD, {
-        k0: MPoly.constant(m, 1, CLIFFORD),
-        k1: _underline_x_em(m) - MPoly.variable(m, m, CLIFFORD),
-    })
+def _lift_factor(m: int, s: int, order: int, ring: str) -> list[MPoly]:
+    """Coefficients of h_m^0..h_m^order of the factor a degree-s coefficient lifts by.
 
-
-def lift_step(series: HSeries, order: int) -> HSeries:
-    """Lift a dimension-(m-1) series to dimension m.
-
-    Each coefficient at index k' with s = |k'| is multiplied by the
-    single-variable expansion of d_m^(alpha - s), made once per s, where
-    d_m = 1 - 2*x_m*h_m + h_m^2*|x|_m^2.  The series' ring picks the lift:
-    a gaussian (harmonic) series has alpha = 1 - m/2; a clifford
-    (monogenic) one has alpha = -m/2, and its result is then
-    left-multiplied by the two-term series 1 + x*h_m*e_m.
+    With d_m = 1 - 2*x_m*h_m + h_m^2*|x|_m^2 the factor is d_m^(1-m/2-s) on the
+    gaussian (harmonic) ring and (1 + x*h_m*e_m)*d_m^(-m/2-s) on the clifford
+    (monogenic) ring, where x*e_m = ux*e_m - x_m.  Entry k is the embedding
+    factor F^(k)_{m,s} or X^(k)_{m,s}.
     """
-    order = _integer(order, "order")
-    ring = series.ring
-    m = series.m + 1
-    alpha = Fraction(2 - m, 2) if ring == GAUSSIAN else Fraction(-m, 2)
     c1 = MPoly.variable(m, m, ring).scale(-2)
     c2 = radius_squared(m, ring=ring)
-    upowers = _u_powers(c1, c2, order)
-    expansions: dict = {}
+    if ring == GAUSSIAN:
+        return _binomial_coeffs(Fraction(2 - m, 2) - s, c1, c2, order)
+    q = _binomial_coeffs(Fraction(-m, 2) - s, c1, c2, order)
+    x_em = _underline_x_em(m) - MPoly.variable(m, m, CLIFFORD)
+    return q[:1] + [q[k] + x_em * q[k - 1] for k in range(1, order + 1)]
+
+
+def lift_step(series: HSeries) -> HSeries:
+    """Lift a dimension-(m-1) series to dimension m at the series' order.
+
+    Each coefficient at index k' with s = |k'| is multiplied from the left
+    by the h_m expansion _lift_factor(m, s, order - s, ring), made once per
+    s; the series' ring picks the harmonic or the monogenic factor.
+    """
+    m, order, ring = series.m + 1, series.order, series.ring
+    factors: dict = {}
     acc: dict = {}
     for kprev, coeff in series.terms.items():
         s = sum(kprev)
-        if s > order:
-            continue
-        if s not in expansions:
-            expansions[s] = _binomial_coeffs(alpha - s, upowers, order - s, m, ring)
+        if s not in factors:
+            factors[s] = _lift_factor(m, s, order - s, ring)
         lifted = coeff.embed(m)
-        for j, q in enumerate(expansions[s]):
-            if q.is_zero():
-                continue
+        for j, q in enumerate(factors[s]):
             acc[kprev + (j,)] = q * lifted
-    out = HSeries(m, order, ring, acc)
-    if ring == CLIFFORD:
-        out = _monogenic_prefactor(m, order) * out
-    return out
+    return HSeries(m, order, ring, acc)

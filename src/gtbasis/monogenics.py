@@ -33,7 +33,7 @@ from functools import lru_cache
 from .clifford import E12, Multivector, blade_product
 from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base2, _base2_value,
                         _basis_product, _check_norm, _check_point,
-                        _closed_form, _factor_label, _gf_series, _Index, _kernel_m3,
+                        _closed_form, _dimension, _factor_label, _gf_series, _Index, _kernel_m3,
                         _partial_sum, embedding_F, embedding_f_value, iter_multi_indices)
 from .hseries import HSeries, _underline_x_em
 from .mvpoly import CLIFFORD, MPoly
@@ -71,7 +71,7 @@ def enumerate_mon_indices(m: int, deg_max: int,
                           normalization: str = FACTORIAL) -> list[MonIndex]:
     """All monogenic labels with |k| <= deg_max, lexicographic."""
     _check_norm(normalization)
-    return [MonIndex(k, normalization) for k in iter_multi_indices(m - 1, deg_max)]
+    return [MonIndex(k, normalization) for k in iter_multi_indices(_dimension(m) - 1, deg_max)]
 
 
 # -- float evaluation ------------------------------------------------------

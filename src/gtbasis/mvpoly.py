@@ -213,7 +213,7 @@ class MPoly:
 
     def coeff(self, exps):
         """Coefficient of x^exps: a Multivector (clifford) or an exact scalar (gaussian)."""
-        exps = tuple(exps)
+        exps = _check_exps(exps, self.dim)
         num, den = self.num, self.den
         if self.ring == GAUSSIAN:
             return make_gaussian(Fraction(num.get((exps, 0), 0), den),
@@ -352,6 +352,7 @@ class MPoly:
 
     def deriv(self, j: int) -> "MPoly":
         """Partial derivative with respect to x_j, 1-based."""
+        j = _integer(j, "the variable index")
         if not 1 <= j <= self.dim:
             raise ValueError(f"variable index {j} out of range 1..{self.dim}")
         i = j - 1
@@ -433,6 +434,7 @@ class MPoly:
 
     def embed(self, dim: int) -> "MPoly":
         """View as a polynomial in more variables (new exponents zero, blades unchanged)."""
+        dim = _integer(dim, "the dimension")
         if dim < self.dim:
             raise ValueError("cannot embed into fewer variables")
         if dim == self.dim:

@@ -28,11 +28,11 @@ from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _base2, _sum_sq
                         embedding_F, enumerate_harm_indices, gf_harm_closed,
                         gf_harm_closed_m3, gf_harm_partial_sum, gf_harm_series,
                         harm_basis, iter_multi_indices)
-from .hseries import HSeries, _monogenic_prefactor, binomial_expand, power_series
+from .hseries import HSeries, _lift_factor, binomial_expand, power_series
 from .monogenics import (MonIndex, embedding_X, enumerate_mon_indices,
                          gf_mon_closed, gf_mon_closed_m3, gf_mon_partial_sum,
                          gf_mon_series, mon_basis)
-from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, radius_squared
+from .mvpoly import CLIFFORD, GAUSSIAN, MPoly
 from .ballint import inner_harm, inner_mon
 
 SUITES = ("pde", "ortho", "extract", "gf", "lemmas")
@@ -307,14 +307,11 @@ def _check_gegenbauer_parity(rng, k_max: int):
                 return False, f"nu={nu} k={k}: parity violated"
     return True, None
 
-def _lemma_gf(m: int, j: int, k_max: int, ring: str, alpha: Fraction, prefactor, factor):
-    """prefactor * (1 - 2 x_m h_m + h_m^2 |x|_m^2)^alpha = sum_k factor(m, j, k) h_m^k."""
-    c1 = MPoly.variable(m, m, ring).scale(-2)
-    c2 = radius_squared(m, ring=ring)
-    series = prefactor(m, k_max) * binomial_expand(alpha, c1, c2, m, k_max)
-    for k in range(k_max + 1):
-        key = tuple(k if i == m - 2 else 0 for i in range(m - 1))
-        if series.coefficient(key) != factor(m, j, k):
+def _lemma_gf(m: int, j: int, k_max: int, ring: str, factor):
+    """The paper's lemma on the factor lift_step multiplies a degree-j coefficient by:
+    its h_m^k coefficient, k <= k_max, is the embedding factor factor(m, j, k)."""
+    for k, coeff in enumerate(_lift_factor(m, j, k_max, ring)):
+        if coeff != factor(m, j, k):
             return False, f"k={k}: expansion differs from embedding factor"
     return True, None
 
@@ -382,14 +379,11 @@ _TABLE = (
      _check_gegenbauer_recurrence_vs_oracle, lambda r: {}, {"k_max": 12}),
     ("lemmas.gegenbauer_parity", (None,), False, _check_gegenbauer_parity,
      lambda r: {}, {"k_max": 12}),
-    # (1 - 2 x_m h_m + h_m^2 |x|_m^2)^(lift - m/2 - j), lift = 1 harmonic, 0 monogenic
     ("lemmas.gf_f_embedding", (None,), False,
-     lambda rng, m, j, k_max: _lemma_gf(m, j, k_max, GAUSSIAN, 1 - Fraction(m, 2) - j,
-                                        HSeries.one, embedding_F),
+     lambda rng, m, j, k_max: _lemma_gf(m, j, k_max, GAUSSIAN, embedding_F),
      lambda r: {"m": range(3, r.m_max + 1), "j": range(4)}, {"k_max": 8}),
     ("lemmas.gf_x_embedding", (None,), False,
-     lambda rng, m, j, k_max: _lemma_gf(m, j, k_max, CLIFFORD, -Fraction(m, 2) - j,
-                                        _monogenic_prefactor, embedding_X),
+     lambda rng, m, j, k_max: _lemma_gf(m, j, k_max, CLIFFORD, embedding_X),
      lambda r: {"m": range(3, r.m_max + 1), "j": range(4)}, {"k_max": 8}),
     ("lemmas.plain_base_geometric", (None,), False, _check_plain_base_geometric,
      lambda r: {"sign": (+1, -1)}, {"kind": "harm", "order": 12}),

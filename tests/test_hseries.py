@@ -8,7 +8,7 @@ import pytest
 from gtbasis import (CLIFFORD, GAUSSIAN, HSeries, MPoly,
                      Multivector, binomial_expand, embedding_F, exp_series,
                      harm_basis, BasisIndex, lift_step, make_gaussian,
-                     power_series, radius_squared)
+                     gf_harm_series, gf_mon_series, power_series, radius_squared)
 
 I = make_gaussian(0, 1)
 
@@ -99,13 +99,13 @@ def test_power_series_has_no_factorials():
 
 
 def test_lift_of_constant_series_gives_embedding_factors():
-    s = lift_step(HSeries.one(2, 4), 4)
+    s = lift_step(HSeries.one(2, 4))
     for k in range(5):
         assert s.coefficient((0, k)) == embedding_F(3, 0, k)
 
 
 def test_monogenic_lift_of_constant_series():
-    s = lift_step(HSeries.one(2, 3, CLIFFORD), 3)
+    s = lift_step(HSeries.one(2, 3, CLIFFORD))
     expected_h3 = x(3, 3, CLIFFORD).scale(2) \
         + x(3, 1, CLIFFORD) * Multivector.blade(3, 0b101) \
         + x(3, 2, CLIFFORD) * Multivector.blade(3, 0b110)
@@ -115,16 +115,25 @@ def test_monogenic_lift_of_constant_series():
 
 def test_lift_of_exp_base():
     base = exp_series(x(2, 1) + x(2, 2).scale(I), 2)
-    s = lift_step(base, 2)
+    s = lift_step(base)
     assert s.coefficient((1, 1)) == harm_basis(BasisIndex((1, 1), +1))
     assert s.coefficient((1, 1)) == (x(3, 3) * (x(3, 1) + x(3, 2).scale(I))).scale(3)
 
 
 def test_truncation_consistency():
     base = exp_series(x(2, 1) + x(2, 2).scale(I), 4)
-    full = lift_step(base, 4)
+    full = lift_step(base)
     low = {k: p for k, p in full.terms.items() if sum(k) <= 2}
-    assert low == lift_step(base, 2).terms
+    assert low == lift_step(HSeries(2, 2, GAUSSIAN, base.terms)).terms
+
+
+def test_lift_keeps_the_order_of_its_series():
+    harm = lift_step(gf_harm_series(2, 3))
+    assert harm.order == 3
+    assert harm == gf_harm_series(3, 3)
+    mon = lift_step(gf_mon_series(3, 2))
+    assert mon.order == 2
+    assert mon == gf_mon_series(4, 2)
 
 
 def test_cauchy_product_associative():
@@ -152,7 +161,7 @@ def test_ring_mismatch_rejected():
 
 
 def test_json_round_trip():
-    s = lift_step(HSeries.one(2, 3, CLIFFORD), 3)
+    s = lift_step(HSeries.one(2, 3, CLIFFORD))
     assert HSeries.from_json(s.to_json()) == s
 
 
@@ -163,7 +172,7 @@ def test_json_round_trip_keeps_ring(ring):
     assert data["ring"] == ring
     assert HSeries.from_json(data).ring == ring
     assert HSeries.from_json(data) == empty
-    full = lift_step(HSeries.one(2, 2, ring), 2)
+    full = lift_step(HSeries.one(2, 2, ring))
     data = full.to_json()
     assert "ring" not in data  # non-empty series JSON is unchanged
     assert HSeries.from_json(data).ring == ring

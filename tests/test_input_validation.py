@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import (BasisIndex, DomainBox, DomainError, HSeries, MonIndex, MPoly, PiScaled,
-                     binom_frac, embedding_F, embedding_f_value, embedding_X,
+from gtbasis import (CLIFFORD, BasisIndex, DomainBox, DomainError, HSeries, MonIndex, MPoly, PiScaled,
+                     binom_frac, binomial_expand, embedding_F, embedding_f_value, embedding_X,
                      embedding_x_value, enumerate_harm_indices, enumerate_mon_indices,
                      gamma_half, gegenbauer_poly, gf_harm_closed, gf_harm_closed_m3,
                      gf_harm_partial_sum, gf_harm_series, gf_mon_closed, gf_mon_closed_m3,
@@ -108,12 +108,46 @@ def test_gegenbauer_gf_value_rejects_invalid_arguments(nu, t, h):
 
 @pytest.mark.parametrize("enumerate_, args", [
     (lambda *a: list(iter_multi_indices(*a)), (-1, 2)),
-    (enumerate_harm_indices, (0, 2)),
-    (enumerate_mon_indices, (0, 2)),
 ])
 def test_negative_parts_are_refused(enumerate_, args):
     with pytest.raises(ValueError, match="parts must be non-negative"):
         enumerate_(*args)
+
+
+# the enumerations once refused m = 0 as "parts must be non-negative, got -1" and
+# listed the one empty label at m = 1; DomainBox(1) was a box with no h entries
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_harm_indices(0, 2),
+    lambda: enumerate_mon_indices(0, 2),
+    lambda: enumerate_harm_indices(1, 2),
+    lambda: enumerate_mon_indices(1, 2),
+    lambda: DomainBox(1),
+    lambda: DomainBox(-3),
+    lambda: DomainBox(0).contains([]),
+], ids=["harm-indices-zero", "mon-indices-zero", "harm-indices-one", "mon-indices-one",
+        "box-one", "box-negative", "box-zero"])
+def test_dimension_below_two_is_refused(make):
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        make()
+
+
+# lookups once answered the zero polynomial for an index they cannot know: past
+# the truncation order (where the true coefficient is not zero), of the wrong
+# length, or with a negative entry
+@pytest.mark.parametrize("lookup", [
+    lambda: gf_harm_series(3, 2).coefficient((3, 0)),
+    lambda: gf_mon_series(3, 2).coefficient((1, 2)),
+    lambda: gf_harm_series(3, 2).coefficient((1,)),
+    lambda: gf_harm_series(3, 2).coefficient((1, 0, 0)),
+    lambda: gf_harm_series(3, 2).coefficient((-1, 1)),
+    lambda: MPoly.variable(3, 1).coeff((1,)),
+    lambda: MPoly.variable(3, 1, CLIFFORD).coeff((1, 0, 0, 0)),
+    lambda: MPoly.variable(3, 1).coeff((1, -1, 0)),
+], ids=["past-order", "mon-past-order", "short-k", "long-k", "negative-k",
+        "short-exps", "long-exps", "negative-exps"])
+def test_lookups_refuse_indices_they_cannot_know(lookup):
+    with pytest.raises(ValueError, match="beyond the series order|bad h multi-index|bad exponent"):
+        lookup()
 
 
 @pytest.mark.parametrize("evaluate, args", [
@@ -243,6 +277,9 @@ def test_labels_and_exponents_accept_integer_like_values():
     assert HSeries(3, 2, terms={(_Index(0), 1): _ONE3}).terms == {(0, 1): _ONE3}
 
 
+_C1, _C2 = MPoly.variable(3, 3).scale(-2), radius_squared(3)
+
+
 # The last counts: a document naming pi^(5/4) read back as pi, a series of order
 # 1.5 was written out again, and C_k^nu for k = 2.0 was a TypeError on a cold
 # cache but C_2^1 once C_2^1 was cached
@@ -273,13 +310,20 @@ def test_labels_and_exponents_accept_integer_like_values():
     lambda: MPoly.variable(2.0, 1),
     lambda: MPoly.variable(2, 1.0),
     lambda: radius_squared(2.5),
+    lambda: MPoly.variable(2, 1).embed(3.0),
+    lambda: HSeries.one(3.0, 2),
+    lambda: binomial_expand(-1, _C1, _C2, 3, 2.0),
+    lambda: binomial_expand(-1, _C1, _C2, 3.0, 2),
+    lambda: enumerate_harm_indices(3.0, 2),
+    lambda: MPoly.variable(2, 1).deriv(1.0),
 ], ids=["pi-power", "zero-pi-power", "pi-power-json", "series-order", "series-dim",
         "series-order-json", "gegenbauer-k", "gegenbauer-k-fraction", "box-dim",
         "box-dim-float", "closed-dim-unsafe", "closed-dim", "mon-indices-dim",
         "harm-indices-degree", "binom-n-warm", "binom-n", "oracle-order",
         "harm-series-order", "mon-series-order", "harm-series-dim", "partial-sum-order",
         "partial-sum-dim", "multi-indices-total", "variable-dim", "variable-index",
-        "radius-dim"])
+        "radius-dim", "embed-dim", "series-one-dim", "binomial-order", "binomial-var",
+        "harm-indices-dim", "deriv-index"])
 def test_counts_refuse_non_integers(make):
     with pytest.raises(ValueError, match="must be an integer"):
         make()
@@ -309,3 +353,8 @@ def test_counts_accept_integer_like_values():
     assert list(iter_multi_indices(_Index(2), _Index(2))) == list(iter_multi_indices(2, 2))
     assert MPoly.variable(_Index(2), _Index(1)) == MPoly.variable(2, 1)
     assert radius_squared(_Index(2)) == radius_squared(2)
+    assert MPoly.variable(2, 1).embed(_Index(3)) == MPoly.variable(3, 1)
+    assert HSeries.one(_Index(3), 2) == HSeries.one(3, 2)
+    assert binomial_expand(-1, _C1, _C2, _Index(3), _Index(2)) == \
+        binomial_expand(-1, _C1, _C2, 3, 2)
+    assert MPoly.variable(2, 1).deriv(_Index(1)) == MPoly.constant(2, 1)
