@@ -31,7 +31,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import add, mul
 
 from .clifford import E12
 from .errors import FLOAT_OVERFLOW, DomainError, SingularityError, _integer
@@ -186,23 +188,30 @@ def _factor_label(m, j, k, k_min: int = -1) -> tuple:
     return m, j, k
 
 
-def _f_row(nu, k_max: int, xm, r2, zero, one) -> list:
+@lru_cache(maxsize=1024, typed=True)  # Fraction(3, 2) == 1.5, but each steps in its own type
+def _f_steps(nu, k_max: int) -> tuple:
+    """((n, 2*(n+nu-1), n+2*nu-2) for n = 1..k_max), the constants of _f_row, in nu's type."""
+    unit = nu - nu + 1
+    two = unit + unit
+    n, steps = nu - nu, []
+    for _ in range(k_max):
+        n = n + unit
+        steps.append((n, two * (n + nu - unit), n + two * nu - two))
+    return tuple(steps)
+
+
+def _f_row(steps, xm, r2, zero, one) -> list:
     """[F_0, ..., F_k_max] of F^(k)_{m,j}, nu = m/2 + j - 1, by the homogenized recurrence
 
         n*F_n = 2*(n+nu-1)*x_m*F_{n-1} - (n+2*nu-2)*|x|_m^2*F_{n-2},  F_{-1} = zero, F_0 = one,
 
-    in the number type of the arguments: floats at a point (xm, r2 from _f_inputs)
-    or a Fraction nu with the polynomials x_m and |x|_m^2.  n and the constants
-    step in nu's own type, so a float row stays float arithmetic.
+    with steps = _f_steps(nu, k_max): floats at a point (xm, r2 from _f_inputs),
+    or a Fraction nu with the polynomials x_m and |x|_m^2.
     """
-    unit = nu - nu + 1
-    two = unit + unit
-    n, prev, cur = nu - nu, zero, one
+    prev, cur = zero, one
     row = [cur]
-    for _ in range(k_max):
-        n = n + unit
-        prev, cur = cur, (two * (n + nu - unit) * xm * cur
-                          - (n + two * nu - two) * r2 * prev) / n
+    for n, c1, c2 in steps:
+        prev, cur = cur, (c1 * xm * cur - c2 * r2 * prev) / n
         row.append(cur)
     return row
 
@@ -218,7 +227,7 @@ def embedding_F(m: int, j: int, k: int) -> MPoly:
     m, j, k = _factor_label(m, j, k)
     if k == -1:
         return MPoly.zero(m)
-    return _f_row(Fraction(m, 2) + j - 1, k, MPoly.variable(m, m), radius_squared(m),
+    return _f_row(_f_steps(Fraction(m, 2) + j - 1, k), MPoly.variable(m, m), radius_squared(m),
                   MPoly.zero(m), MPoly.constant(m, 1))[-1]
 
 
@@ -447,33 +456,29 @@ def gf_harm_series(m: int, order: int, sign=+1,
 def _f_inputs(m: int, x) -> tuple:
     """(x_m, |x|_m^2) as floats: all that an F row at dimension m reads of the point.
 
-    |x|_m^2 is _sum_squares; one that is not finite is a FLOAT_OVERFLOW ValueError.
-    """
+    A coordinate that is not finite is a ValueError, and an |x|_m^2 (_sum_squares)
+    that is not finite a FLOAT_OVERFLOW ValueError."""
     coords = [float(x[i]) for i in range(m)]
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("x must be finite")
     r2 = _sum_squares(coords)
     if not math.isfinite(r2):
         raise ValueError(FLOAT_OVERFLOW)
     return coords[-1], r2
 
 
-def _f_table(m: int, order: int, x) -> list:
-    """Rows table[j][k] = F^(k)_{m,j}(x) for j + k <= order."""
-    xm, r2 = _f_inputs(m, x)
-    return [_f_row(m / 2.0 + j - 1.0, order - j, xm, r2, 0.0, 1.0) for j in range(order + 1)]
-
-
 def embedding_f_value(m: int, j: int, k: int, x) -> float:
     """Float value of F^(k)_{m,j} at a point (first m coordinates of x are used).
 
-    A label refused by embedding_F is a ValueError, and a value that is not
-    finite a FLOAT_OVERFLOW ValueError.
+    A label refused by embedding_F or a coordinate that is not finite is a
+    ValueError, and a value that is not finite a FLOAT_OVERFLOW ValueError.
     """
     m, j, k = _factor_label(m, j, k)
     if len(x) < m:
         raise ValueError(f"x needs at least {m} coordinates")
     if k == -1:
         return 0.0
-    value = _f_row(m / 2.0 + j - 1.0, k, *_f_inputs(m, x), 0.0, 1.0)[k]
+    value = _f_row(_f_steps(m / 2.0 + j - 1.0, k), *_f_inputs(m, x), 0.0, 1.0)[k]
     if not math.isfinite(value):
         raise ValueError(FLOAT_OVERFLOW)
     return value
@@ -490,11 +495,6 @@ def _base_powers(base: complex, order: int, normalization: str) -> list:
     return values
 
 
-def _harm_split(r: int, table: list, j: int, k: int) -> tuple:
-    """The harmonic factor F^(k)_{r,j} as a + b*U_r: b = 0."""
-    return table[j][k], 0.0
-
-
 def _float_powers(base: float, order: int) -> list:
     """[base^0, ..., base^order]; a power beyond the float range is a FLOAT_OVERFLOW ValueError."""
     try:
@@ -503,74 +503,76 @@ def _float_powers(base: float, order: int) -> list:
         raise ValueError(FLOAT_OVERFLOW) from exc
 
 
-def _blade_sums(terms: list, width: int) -> list:
-    """[sum of c * v[i] * hk over (c, v, hk) in terms, for i < width].
+def _f_diagonals(m: int, order: int, x) -> list:
+    """[[F^(k)_{m,s-k}(x) for k <= s] for s <= order]: F table diagonals as strided slices."""
+    xm, r2 = _f_inputs(m, x)
+    w = order + 2  # F^(k)_{m,j} sits at flat[j*w + k], so a diagonal j + k = s has stride w - 1
+    flat = [0.0] * (w * (order + 1))
+    for j in range(order + 1):
+        steps = _f_steps(m / 2.0 + j - 1.0, order - j)
+        flat[j * w:j * w + order + 1 - j] = _f_row(steps, xm, r2, 0.0, 1.0)
+    return [flat[s:s * w + 1:w - 1][::-1] for s in range(order + 1)]
 
-    Each blade is accumulated on its own, from 0.0 and in the order of terms.
-    """
-    out = []
-    for i in range(width):
+
+def _sums(diagonals: list, first: int, hpow: list, column) -> list:
+    """[sum of c * column[s - k] * hpow[k] over k = first..s, c = diagonals[s][k - first],
+    for s <= order]: each sum starts from 0.0 and runs in ascending k.  With first = 1
+    (the b terms of _partial_sum) a term with c = 0 is skipped."""
+    out, hpow = [], hpow[first:]
+    for s, coeffs in enumerate(diagonals):
+        values, powers = column[s - first::-1], hpow
+        if first and 0.0 in coeffs:
+            values, powers, coeffs = (compress(v, coeffs) for v in (values, powers, coeffs))
         t = 0.0
-        for c, v, hk in terms:
-            t = t + c * v[i] * hk
+        for c, v, hk in zip(coeffs, values, powers):
+            t = t + c * v * hk
         out.append(t)
     return out
 
 
-def _partial_sum(x, h, order: int, sign: int, normalization: str, entries, split,
+def _partial_sum(x, h, order: int, sign: int, normalization: str, entries, split=None,
                  times_u=None) -> list:
     """Sum over |k| <= order of factor_m ... factor_3 * base_{k_2} * h^k at a checked point.
 
-    m = len(x), and base_{k_2} is entries(z^{k_2}) for z = x_1 + sign*i*x_2
-    (z^{k_2} / k_2! in the factorial normalization, from _base_powers).
-    Values are dense coefficient lists: one complex entry for a harmonic
-    value, and for a multivector the 2^r blade coefficients of R_{0,r} at
-    dimension r (e12 read as i), so a monogenic value grows 4 -> 8 -> ... -> 2^m.
-    Every embedding factor is split as a + b*U_r, where a and b are scalars
-    and U_r = sum_{i<r} x_i e_i e_r; split(r, table, j, k_r) returns (a, b)
-    from the dimension-r table of F values (_f_table).  times_u(r, x, s, v)
-    is the e_r half of (sum_{i<r} x_i s e_i e_r) * v for v in R_{0,r-1}, called
-    with s = 1.0 (the monogenic kernel); the harmonic sum has b = 0 and no U_r.
+    m = len(x), base_{k_2} = entries(z^{k_2}), z = x_1 + sign*i*x_2 (over k_2! in the
+    factorial normalization).  A value is one complex entry (harmonic), or the even
+    blades of R_{0,r} in ascending mask order (e12 read as i), 2 -> ... -> 2^(m-1):
+    the base x_1 - e12*x_2 and each U_r = sum_{i<r} x_i e_i e_r are even, so no odd
+    blade is ever nonzero.  Each factor is a + b*U_r with scalars a, b: the harmonic
+    one has a = F^(k)_{r,j}, b = 0, from the diagonals f of the F table (_f_diagonals);
+    for the monogenic one split(r, f) gives the diagonals a[s][k_r] and b[s][k_r - 1],
+    and times_u(r, x, 1.0, v) is the e_r half of U_r * v.
 
-    Since a factor depends on the lower indices only through
-    j = k_2 + ... + k_{r-1}, the sum is built one dimension at a time by
-    total degree: level[s] is the dimension-r sum over k_2 + ... + k_r = s,
-    V[j] = U_r * level_{r-1}[j], and
+    A factor depends on the lower indices only through j = k_2 + ... + k_{r-1},
+    so the sum is built one dimension at a time by total degree: level[s] is
+    the dimension-r sum over k_2 + ... + k_r = s, V[j] = U_r * level_{r-1}[j], and
 
         level_r[s] = sum_{k_r <= s} (a * level_{r-1}[j] + b * V[j]) * h_r^{k_r},  j = s - k_r.
 
-    No blade of level_{r-1} holds e_r and every blade of V does, so the a terms
-    fill the lower half of level_r[s] and the b terms its upper half.  Each
-    dimension costs one F table and order + 1 products by U_r.  For each s the
-    s + 1 splits are taken once; then every blade coefficient is accumulated
-    on its own in k_r order (_blade_sums), b = 0 terms skipped.
-
-    A power of an h entry beyond the float range, or a total that is not
-    finite, is a FLOAT_OVERFLOW ValueError, as in the closed forms.
+    No blade of level_{r-1} holds e_r and every blade of V does, so the a terms fill
+    the lower half of level_r[s] and the b terms its upper half.  A level holds one
+    column over s per blade; a dimension costs one F table and order + 1 products
+    by U_r, and each blade is summed on its own (_sums).  A power of an h entry
+    beyond the float range, or a total that is not finite, is a FLOAT_OVERFLOW
+    ValueError, as in the closed forms.
     """
     order = _integer(order, "order")
     if order < 0:
         raise ValueError("order must be non-negative")
     base_values = _base_powers(complex(x[0], sign * x[1]), order, normalization)
     h2pow = _float_powers(h[0], order)
-    level = [[c * h2pow[s] for c in entries(v)] for s, v in enumerate(base_values)]
+    level = [list(map(mul, blade, h2pow)) for blade in zip(*map(entries, base_values))]
     for r in range(3, len(x) + 1):
-        table = _f_table(r, order, x)
+        f = _f_diagonals(r, order, x)
         hpow = _float_powers(h[r - 2], order)
-        width = len(level[0])
-        products = None if times_u is None else [times_u(r, x, 1.0, v) for v in level]
-        nxt = []
-        for s in range(order + 1):
-            splits = [(split(r, table, s - kr, kr), s - kr, hpow[kr]) for kr in range(s + 1)]
-            value = _blade_sums([(a, level[j], hk) for (a, _), j, hk in splits], width)
-            if times_u is not None:
-                value += _blade_sums([(b, products[j], hk) for (_, b), j, hk in splits if b],
-                                     width)
-            nxt.append(value)
-        level = nxt
-    total = [0.0] * len(level[0])
-    for v in level:
-        total = [t + c for t, c in zip(total, v)]
+        if split is None:
+            level = [_sums(f, 0, hpow, column) for column in level]
+        else:
+            a, b = split(r, f)
+            upper = zip(*[times_u(r, x, 1.0, v) for v in zip(*level)])
+            level = ([_sums(a, 0, hpow, column) for column in level]
+                     + [_sums(b, 1, hpow, column) for column in upper])
+    total = [reduce(add, column, 0.0) for column in level]
     if not all(map(cmath.isfinite, total)):
         raise ValueError(FLOAT_OVERFLOW)
     return total
@@ -582,4 +584,4 @@ def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,
     sign = _norm_sign(sign)
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain=True)
-    return _partial_sum(x, h, order, sign, normalization, lambda z: [z], _harm_split)[0]
+    return _partial_sum(x, h, order, sign, normalization, lambda z: [z])[0]

@@ -154,8 +154,11 @@ def binomial_expand(alpha, c1: MPoly, c2: MPoly, var: int, order: int) -> HSerie
     """Exact expansion of (1 + c1*h_var + c2*h_var^2)^alpha to total order in h_var.
 
     The h-free part of the base is the constant 1 by construction, which is
-    what makes the generalized binomial series exact term by term.
+    what makes the generalized binomial series exact term by term: alpha is an
+    int or a Fraction, and anything else is a ValueError.
     """
+    if not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"alpha must be an int or a Fraction, got {alpha!r}")
     if c1.dim != c2.dim or c1.ring != c2.ring:
         raise ValueError("c1/c2 dimension or ring mismatch")
     m = c1.dim

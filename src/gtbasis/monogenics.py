@@ -19,8 +19,8 @@ with the same d_m kernel as the harmonic case.  The float closed form runs
 the harmonic descent with the power d_m^(-m/2) and the base sign -1 (e12 read
 as i), then applies the prefactors.  Each prefactor and each Clifford
 embedding factor X = a + b*U_r of the partial sums multiplies by
-U_r = sum_{i<r} x_i e_i e_r through one kernel, _u_times, and every float
-value at dimension r is a dense list of the blades of R_{0,r}.
+U_r = sum_{i<r} x_i e_i e_r through one kernel, _u_times.  The base and every U_r
+are even, so M_m lies in R+_{0,m}: a float value lists the 2^(r-1) even blades of R_{0,r}.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .clifford import E12, Multivector, blade_product
+from .errors import _integer
 from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base2, _base2_value,
                         _basis_product, _check_norm, _check_point,
                         _closed_form, _dimension, _factor_label, _gf_series, _Index, _kernel_m3,
@@ -78,22 +80,23 @@ def enumerate_mon_indices(m: int, deg_max: int,
 
 
 @lru_cache(maxsize=None)
+def _even_blades(r: int) -> tuple:
+    """The even blade masks of R_{0,r} in ascending order; mask t sits at position t >> 1."""
+    return tuple(t for t in range(1 << r) if t.bit_count() % 2 == 0)
+
+
+@lru_cache(maxsize=None)
 def _u_blades(r: int) -> tuple:
-    """For each i < r, the pairs (sign, source) with e_i e_r * e_source = sign * e_target,
-    listed by target t + e_r for t < 2^(r-1): the e_r half of R_{0,r}, whose sources
-    t ^ e_i lie in R_{0,r-1}."""
-    half = 1 << (r - 1)
-    out = []
-    for i in range(1, r):
-        u = (1 << (i - 1)) | half
-        out.append(tuple((blade_product(u, t ^ u, r)[0], t ^ u)
-                         for t in range(half, 2 * half)))
-    return tuple(out)
+    """For each i < r, the pairs (sign, source >> 1) with e_i e_r * e_source = sign * e_target
+    for the even targets of R_{0,r} holding e_r: source >> 1 is the position in R+_{0,r-1}."""
+    targets = _even_blades(r)[1 << (r - 2):]
+    return tuple(tuple((blade_product(u, t ^ u, r)[0], (t ^ u) >> 1) for t in targets)
+                 for u in ((1 << i) | (1 << (r - 1)) for i in range(r - 1)))
 
 
-def _u_times(r: int, x, s: float, v: list) -> list:
-    """(sum_{i<r} x_i s e_i e_r) * v on dense blade lists: v lies in R_{0,r-1}, and
-    the result is the e_r half of R_{0,r} (the other half is zero).
+def _u_times(r: int, x, s: float, v) -> list:
+    """(sum_{i<r} x_i s e_i e_r) * v on even blade lists: v lies in R+_{0,r-1}, and the
+    result is the e_r half of R+_{0,r}, since each e_i e_r is even and keeps the parity.
 
     The terms are summed in ascending i, as the sparse Multivector product does.
     The closed form calls it with s = h_r, the partial sums with s = 1.0.
@@ -112,21 +115,21 @@ def gf_mon_closed(m: int, x, h, normalization: str = FACTORIAL,
     """Closed-form value of the monogenic generating function (float multivector).
 
     The shared descent gives the scalar and e12 parts; the value then stays a
-    dense blade list of R_{0,r} while each prefactor
-    1 + x h_r e_r = (1 - x_r h_r) + sum_{i<r} (x_i h_r) e_i e_r multiplies it from
-    r = 3 up, and becomes one Multivector at the end.  No blade of the value
-    holds e_r, so (1 - x_r h_r) times it is the lower half of the product and
-    _u_times the upper half.
+    list of the even blades of R_{0,r} (the base and each prefactor are even)
+    while each prefactor 1 + x h_r e_r = (1 - x_r h_r) + sum_{i<r} (x_i h_r) e_i e_r
+    multiplies it from r = 3 up, and becomes one Multivector at the end.  No
+    blade of the value holds e_r, so (1 - x_r h_r) times it is the lower half
+    of the product and _u_times the upper half.
     """
     _check_norm(normalization)
     x, levels, base = _closed_form(m, x, h, 0, -1, normalization, unsafe_domain)
-    value = [base.real, 0.0, 0.0, base.imag]
+    value = [base.real, base.imag]
     for r, _, hr in reversed(levels):
         a = 1.0 - x[r - 1] * hr
         value = [a * t for t in value] + _u_times(r, x, hr, value)
     if not all(map(math.isfinite, value)):
         raise ValueError(FLOAT_OVERFLOW)
-    return Multivector(m, dict(enumerate(value)))
+    return Multivector(m, dict(zip(_even_blades(len(x)), value)))
 
 
 def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
@@ -156,10 +159,12 @@ def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries
 def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:
     """Float value of X^(k)_{m,j} at a point, inside R_{0,top}.
 
-    A label refused by embedding_X is a ValueError, and a coefficient that is
-    not finite a FLOAT_OVERFLOW ValueError.
+    A label refused by embedding_X, a top below m or a coordinate that is not finite
+    is a ValueError, and a coefficient that is not finite a FLOAT_OVERFLOW ValueError.
     """
     m, j, k = _factor_label(m, j, k, k_min=0)
+    if _integer(top, "top") < m:
+        raise ValueError(f"top must be at least m = {m}, got {top}")
     f0 = embedding_f_value(m, j, k, x)
     f1 = embedding_f_value(m, j + 1, k - 1, x)
     scale = (m - 2 + k + 2 * j) / (m - 2 + 2 * j)
@@ -172,11 +177,18 @@ def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:
     return Multivector(top, terms)
 
 
-def _mon_split(r: int, table: list, j: int, k: int) -> tuple:
-    """X^(k)_{r,j} = a + b*U_r with U_r = ux*e_r = sum_{i<r} x_i e_i e_r (see _partial_sum)."""
-    a = (r - 2 + k + 2 * j) / (r - 2 + 2 * j) * table[j][k]
-    b = table[j + 1][k - 1] if k else 0.0
-    return a, b
+@lru_cache(maxsize=64)
+def _x_scales(r: int, order: int) -> tuple:
+    """(r-2+k+2j)/(r-2+2j), the scale of F^(k)_{r,j} in X^(k)_{r,j}, by [s][k] for j = s - k."""
+    return tuple(tuple((r - 2 + k + 2 * (s - k)) / (r - 2 + 2 * (s - k)) for k in range(s + 1))
+                 for s in range(order + 1))
+
+
+def _x_split(r: int, f: list) -> tuple:
+    """X^(k)_{r,j} = a + b*U_r (U_r = ux*e_r) on the diagonals f[s][k] = F^(k)_{r,j}, j = s - k:
+    a[s][k] = scale * F^(k)_{r,j} for k <= s and b[s][k-1] = F^(k-1)_{r,j+1} for 1 <= k <= s."""
+    a = [list(map(mul, scales, row)) for scales, row in zip(_x_scales(r, len(f) - 1), f)]
+    return a, [row[:-1] for row in f]
 
 
 def gf_mon_partial_sum(m: int, x, h, order: int,
@@ -185,9 +197,9 @@ def gf_mon_partial_sum(m: int, x, h, order: int,
     _check_norm(normalization)
     x, h = _check_point(m, x, h, unsafe_domain=True)
     # x_1 - e_12 x_2 spans a copy of C (e_12^2 = -1), so its powers are complex ones.
-    total = _partial_sum(x, h, order, -1, normalization,
-                         lambda z: [z.real, 0.0, 0.0, z.imag], _mon_split, _u_times)
-    return Multivector(len(x), dict(enumerate(total)))
+    total = _partial_sum(x, h, order, -1, normalization, lambda z: [z.real, z.imag],
+                         _x_split, _u_times)
+    return Multivector(len(x), dict(zip(_even_blades(len(x)), total)))
 
 
 __all__ = [

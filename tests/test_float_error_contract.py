@@ -10,6 +10,7 @@ Coordinates mix signed zeros, subnormals, magnitudes 1e10..1e308 and values in
 import cmath
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,3 +92,41 @@ def test_embedding_factor_values_are_finite_or_raise_value_errors(call):
     except ValueError:
         return
     assert _is_finite(value), f"{call} -> {value}"
+
+
+# -- the factor-value entry points name what is wrong with their input --------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evaluate, args, where", [
+    (embedding_f_value, (3, 0, 2), 1),
+    (embedding_f_value, (4, 1, 3), 3),
+    (embedding_x_value, (3, 3, 0, 2), 1),
+    (embedding_x_value, (4, 5, 1, 0), 3),
+])
+def test_factor_values_refuse_a_non_finite_point(evaluate, args, where, bad):
+    # these raised the overflow error, "overflows the float range", before
+    x = [0.1, 0.2, 0.3, 0.2]
+    x[where] = bad
+    with pytest.raises(ValueError, match="x must be finite"):
+        evaluate(*args, x)
+
+
+@pytest.mark.parametrize("evaluate, args", [
+    (embedding_f_value, (3, 0, 2)),
+    (embedding_x_value, (3, 3, 0, 2)),
+])
+def test_factor_values_with_a_finite_point_beyond_the_float_range_overflow(evaluate, args):
+    # |x|^2 = 1e400 is not a float, though every coordinate is finite
+    with pytest.raises(ValueError, match="overflows the float range"):
+        evaluate(*args, [1e200, 0.0, 0.1])
+
+
+def test_embedding_x_value_names_top_below_m():
+    # this said "blade mask 0b1001 exceeds dimension 3" before
+    x = [0.1, 0.2, 0.3, 0.2]
+    with pytest.raises(ValueError, match="top must be at least m = 4, got 3"):
+        embedding_x_value(4, 3, 0, 2, x)
+    with pytest.raises(ValueError, match="top must be an integer"):
+        embedding_x_value(4, 4.0, 0, 2, x)
+    assert embedding_x_value(4, 4, 0, 2, x).dim == 4

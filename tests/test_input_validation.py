@@ -329,6 +329,22 @@ def test_counts_refuse_non_integers(make):
         make()
 
 
+# binomial_expand expanded the binary value of 0.1 as if exact
+# (3602879701896397/36028797018963968), parsed "1/3" and raised a bare
+# OverflowError for inf
+@pytest.mark.parametrize("alpha", [0.1, -1.0, "1/3", math.inf, complex(-1, 0)],
+                         ids=["float", "integral-float", "str", "inf", "complex"])
+def test_binomial_expand_refuses_an_inexact_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be an int or a Fraction"):
+        binomial_expand(alpha, _C1, _C2, 3, 2)
+
+
+def test_binomial_expand_takes_ints_and_fractions():
+    assert binomial_expand(-1, _C1, _C2, 3, 2) == binomial_expand(Fraction(-1), _C1, _C2, 3, 2)
+    half = binomial_expand(Fraction(1, 2), _C1, _C2, 3, 1)
+    assert half.coefficient((0, 1)) == _C1.scale(Fraction(1, 2))
+
+
 @pytest.mark.parametrize("nu", [1, Fraction(7, 3)])
 def test_gegenbauer_poly_refuses_a_float_degree_on_a_warm_cache_too(nu):
     with pytest.raises(ValueError, match="must be an integer"):

@@ -1,18 +1,22 @@
 """The tabulated float partial sums against the per-term algorithm they replace.
 
-The partial sums read every embedding-factor value from one table per
-dimension and split each Clifford factor as a + b*U_r.  The references here
-spell out the plain sum over every multi-index k with |k| <= order, one
-`embedding_f_value` or `embedding_x_value` call per factor, as the sums were
-computed before the tables.
+The partial sums read every embedding-factor value from one table of
+diagonals per dimension and split each Clifford factor as a + b*U_r.  The
+references here spell out the plain sum over every multi-index k with
+|k| <= order, one `embedding_f_value` or `embedding_x_value` call per factor,
+as the sums were computed before the tables.
 
-The monogenic sum keeps its value at dimension r in R_{0,r}.  It must give the
-bits of the full-width loop it replaced, copied below: every level a dense list
-of all 2^m blades, U_r applied to all of them, and (a*c + b*u)*h^k per blade.
-The harmonic sum must likewise give the bits of the list-at-a-time loop copied
-below, with each F row reading x_r and |x|_r^2 afresh.
+The monogenic sum and closed form keep their value at dimension r in the even
+blades of R_{0,r}.  They must give the bits of the full-width loops they
+replaced, copied below: every level a dense list of all 2^m (or 2^r) blades,
+U_r applied to all of them.  Those loops also check that every odd blade
+stays exactly 0, the invariant the even-blade lists rest on.  The harmonic
+sum must likewise give the bits of the list-at-a-time loop copied below, with
+each F row reading x_r and |x|_r^2 afresh.  Last, a digest pins the order-30
+sums of both families as they were computed before the even-blade tables.
 """
 
+import hashlib
 import math
 import random
 
@@ -21,7 +25,7 @@ import pytest
 from gtbasis import (FACTORIAL, PLAIN, DomainBox, Multivector, blade_product, embedding_f_value,
                      embedding_x_value, gf_harm_partial_sum, gf_mon_closed,
                      gf_mon_partial_sum, iter_multi_indices)
-from gtbasis.harmonics import _f_table
+from gtbasis.harmonics import _closed_form, _f_diagonals
 from gtbasis.verify import GF_TOL
 
 E12 = 0b11
@@ -83,12 +87,12 @@ def _component_gap(a: Multivector, b: Multivector) -> float:
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_embedding_f_value_is_the_table_entry(m):
     x = POINTS[m]
-    table = _f_table(m, 30, x)
-    assert len(table) == 31
-    for j, row in enumerate(table):
-        assert len(row) == 31 - j
-        for k, value in enumerate(row):
-            assert embedding_f_value(m, j, k, x) == value
+    diagonals = _f_diagonals(m, 30, x)
+    assert len(diagonals) == 31
+    for s, diagonal in enumerate(diagonals):
+        assert len(diagonal) == s + 1
+        for k, value in enumerate(diagonal):
+            assert embedding_f_value(m, s - k, k, x) == value
 
 
 @pytest.mark.parametrize("norm", [FACTORIAL, PLAIN])
@@ -124,7 +128,21 @@ def test_mon_partial_sum_m5_order_30_matches_the_closed_form(norm):
         assert _component_gap(closed, gf_mon_partial_sum(5, x, h, 30, norm)) <= GF_TOL
 
 
-# -- bit identity with the full-width loop -------------------------------------
+# -- bit identity with the full-width loops ------------------------------------
+
+
+def _is_odd(mask):
+    return bin(mask).count("1") % 2 == 1
+
+
+def _odd_blades_are_zero(dense):
+    return all(c == 0.0 for mask, c in enumerate(dense) if _is_odd(mask))
+
+
+def _value_table(r, order, x):
+    """table[j][k] = F^(k)_{r,j}(x) for j + k <= order, one embedding_f_value call each."""
+    return [[embedding_f_value(r, j, k, x) for k in range(order - j + 1)]
+            for j in range(order + 1)]
 
 
 def _full_width_u_columns(m, r, x):
@@ -152,7 +170,7 @@ def full_width_mon_partial_sum(m, x, h, order, norm):
         dense[0], dense[E12] = z.real, z.imag
         level.append([c * h[0] ** s for c in dense])
     for r in range(3, m + 1):
-        table = _f_table(r, order, x)
+        table = _value_table(r, order, x)
         hpow = [h[r - 2] ** kr for kr in range(order + 1)]
         first, *rest = _full_width_u_columns(m, r, x)
         products = []
@@ -179,19 +197,54 @@ def full_width_mon_partial_sum(m, x, h, order, norm):
     total = [0.0] * (1 << m)
     for v in level:
         total = [t + c for t, c in zip(total, v)]
+    assert _odd_blades_are_zero(total)
     return Multivector(m, dict(enumerate(total)))
 
 
-def _seeded_points(m, norm):
+def _dense_u_blades(r):
+    """For each i < r, the pairs (sign, source) with e_i e_r * e_source = sign * e_target,
+    for every target t + e_r, t < 2^(r-1)."""
+    half = 1 << (r - 1)
+    out = []
+    for i in range(1, r):
+        u = (1 << (i - 1)) | half
+        out.append(tuple((blade_product(u, t ^ u, r)[0], t ^ u)
+                         for t in range(half, 2 * half)))
+    return out
+
+
+def _dense_u_times(r, x, s, v):
+    first, *rest = _dense_u_blades(r)
+    c = x[0] * s
+    out = [c * sign * v[src] for sign, src in first]
+    for i, pairs in enumerate(rest, 1):
+        c = x[i] * s
+        out = [o + c * sign * v[src] for o, (sign, src) in zip(out, pairs)]
+    return out
+
+
+def dense_mon_closed(m, x, h, norm):
+    """The closed form on dense lists of all 2^r blades of R_{0,r}."""
+    x, levels, base = _closed_form(m, x, h, 0, -1, norm, False)
+    value = [base.real, 0.0, 0.0, base.imag]
+    for r, _, hr in reversed(levels):
+        a = 1.0 - x[r - 1] * hr
+        value = [a * t for t in value] + _dense_u_times(r, x, hr, value)
+    assert all(map(math.isfinite, value))
+    assert _odd_blades_are_zero(value)
+    return Multivector(m, dict(enumerate(value)))
+
+
+def _seeded_points(m, norm, count=4):
     rng = random.Random(f"full-width:{m}:{norm}")
     bounds = [float(b) for b in DomainBox(m).bounds()[1:]]
     points = []
-    for n in range(4):
+    for n in range(count):
         while True:
             x = [rng.uniform(-1.0, 1.0) for _ in range(m)]
             if sum(v * v for v in x) <= 1.0:
                 break
-        if n == 0:
+        if n % 4 == 0:
             x[rng.randrange(m)] = 0.0
         h = [rng.uniform(-0.5, 0.5)] + [rng.uniform(-1.0, 1.0) * b for b in bounds]
         points.append((x, h))
@@ -202,11 +255,21 @@ def _seeded_points(m, norm):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_mon_partial_sum_is_bit_identical_to_the_full_width_loop(m, norm):
     for x, h in _seeded_points(m, norm):
-        for order in (0, 1, 5, 12):
+        for order in (0, 1, 5, 12, 30):
             value = gf_mon_partial_sum(m, x, h, order, norm)
             expected = full_width_mon_partial_sum(m, x, h, order, norm)
             assert value.dim == expected.dim == m
             assert value.terms == expected.terms
+
+
+@pytest.mark.parametrize("norm", [FACTORIAL, PLAIN])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_mon_closed_is_bit_identical_to_the_full_width_loop(m, norm):
+    for x, h in _seeded_points(m, norm, 40):
+        value = gf_mon_closed(m, x, h, norm)
+        expected = dense_mon_closed(m, x, h, norm)
+        assert value.dim == expected.dim == m
+        assert value.terms == expected.terms
 
 
 def _per_row_f_table(m, order, x):
@@ -261,3 +324,27 @@ def test_harm_partial_sum_is_bit_identical_to_the_list_at_a_time_loop(m, norm):
                 value = gf_harm_partial_sum(m, x, h, order, sign, norm)
                 expected = list_at_a_time_harm_partial_sum(m, x, h, order, sign, norm)
                 assert repr(value) == repr(expected)
+
+
+# sha256 of the repr of the order-30 sums below, computed before the sums moved
+# to even blades and diagonal tables; CI computes the same digest on every
+# Python version the package supports
+ORDER_30_SHA256 = "ebdf4104ed710e188a6472114f822eb4e206a7e8100608338b78938bb9c0ec56"
+
+
+def test_order_30_partial_sums_are_pinned():
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    for m in range(2, 7):
+        for norm in (FACTORIAL, PLAIN):
+            for n in range(4):
+                x = [rng.uniform(-1.0, 1.0) / m for _ in range(m)]
+                if n == 0:
+                    x[rng.randrange(m)] = 0.0
+                h = [rng.uniform(-0.5, 0.5)] + [rng.uniform(-0.5, 0.5) / 4 ** (m - r)
+                                                 for r in range(3, m + 1)]
+                out = (gf_harm_partial_sum(m, x, h, 30, +1, norm),
+                       gf_harm_partial_sum(m, x, h, 30, -1, norm),
+                       gf_mon_partial_sum(m, x, h, 30, norm).terms)
+                digest.update(repr(out).encode())
+    assert digest.hexdigest() == ORDER_30_SHA256
