@@ -102,52 +102,56 @@ def monomial_ball_integral(m: int, alpha) -> PiScaled:
     return _ball_integral_cached(m, alpha)
 
 
-@lru_cache(maxsize=1 << 16)
-def _parity(exps: tuple) -> tuple:
-    return tuple(e & 1 for e in exps)
+def _classes(poly: MPoly) -> dict:
+    """poly's terms as parity -> blade -> [(exps, numerator)], built once and kept on poly."""
+    if not hasattr(poly, "_parity_classes"):
+        index: dict = {}
+        for (exps, blade), n in poly.num.items():
+            parity = tuple(e & 1 for e in exps)
+            index.setdefault(parity, {}).setdefault(blade, []).append((exps, n))
+        object.__setattr__(poly, "_parity_classes", index)
+    return poly._parity_classes
 
 
 def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str, scalar_only: bool = False) -> dict:
     """Blade -> sum over term pairs of conj(a) * b * (rational part of the ball integral).
 
-    conj is Clifford conjugation, which is i -> -i on the gaussian ring's
-    e12; its sign is read per term of p.  Every nonzero integral in
-    dimension m carries the same sqrt(pi) power, pi_power(m), which the
-    caller attaches.  The integer weights conj(na) * nb * sign are summed per
-    (blade, exponent vector), then times the integer moment N_alpha per
-    (blade, total degree), so the only fractions are one per (blade, total
-    degree) and one division by both denominators per blade.
+    A pair integrates to zero unless its exponents have the same parity in
+    every variable, so only the parity classes p and q share meet, and two
+    polynomials that share none do no arithmetic.  The classes are grouped
+    by blade once per polynomial (``_classes``), so a sign is read once per
+    blade pair; conj is Clifford conjugation, i -> -i on the gaussian e12.
+    The caller attaches pi_power(m), the sqrt(pi) power of every nonzero
+    integral in dimension m.  Integer weights conj(na) * nb * sign are summed
+    per (blade, exponent vector), then times N_alpha per (blade, total
+    degree): one fraction per (blade, total degree), one division per blade.
 
     With scalar_only, only the scalar blade is computed: conj(e_A) e_B has a
-    scalar part only when A = B, so each p term meets only q terms of its
-    own blade.
+    scalar part only when A = B.
     """
+    if not (isinstance(p, MPoly) and isinstance(q, MPoly)):
+        raise TypeError(f"{caller} needs MPoly operands")
     if p.ring != ring or q.ring != ring:
         raise ValueError(f"{caller} needs {ring}-ring polynomials")
     if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"{caller}: dimension mismatch {p.dim} != {q.dim}")
     m = p.dim
-    # A pair integrates to zero unless its exponents have the same parity in
-    # every variable, so each p term meets only its own parity bucket of q;
-    # a bucket is grouped by blade, so each sign is read once per q blade.
-    buckets: dict = {}
-    for (eb, bb), nb in q.num.items():
-        buckets.setdefault(_parity(eb), {}).setdefault(bb, []).append((eb, nb))
+    cp, cq = _classes(p), _classes(q)
     weights: dict = {}
     get = weights.get
-    for (ea, ba), na in p.num.items():
-        group = buckets.get(_parity(ea))
-        if not group:
-            continue
-        if conjugation_sign(ba) < 0:
-            na = -na
-        blade_terms = [(ba, group.get(ba, ()))] if scalar_only else group.items()
-        for bb, terms in blade_terms:
-            blade = ba ^ bb
-            w = na if blade_sign(ba, bb) > 0 else -na
-            for eb, nb in terms:
-                key = (blade, tuple(map(add, ea, eb)))
-                weights[key] = get(key, 0) + w * nb
+    for parity in cp.keys() & cq.keys():
+        group = cq[parity]
+        for ba, terms_a in cp[parity].items():
+            sign = conjugation_sign(ba)
+            blade_terms = [(ba, group.get(ba, ()))] if scalar_only else group.items()
+            for bb, terms_b in blade_terms:
+                blade = ba ^ bb
+                positive = sign * blade_sign(ba, bb) > 0
+                for ea, na in terms_a:
+                    w = na if positive else -na
+                    for eb, nb in terms_b:
+                        key = (blade, tuple(map(add, ea, eb)))
+                        weights[key] = get(key, 0) + w * nb
     # every alpha here is all-even, as both exponent vectors share a parity
     sums: dict = {}
     for (blade, alpha), w in weights.items():
@@ -161,6 +165,9 @@ def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str, scalar_only: bool 
     return {blade: c / den for blade, c in acc.items()}
 
 
+_ZERO = PiScaled.zero()  # of a pairing with nothing to sum, shared: PiScaled is immutable
+
+
 def inner_harm(p: MPoly, q: MPoly) -> PiScaled:
     """L^2(B_m) inner product of complex polynomials: integral of conj(p)*q.
 
@@ -168,12 +175,16 @@ def inner_harm(p: MPoly, q: MPoly) -> PiScaled:
     rational multiple of the dimension's pi power.
     """
     acc = _ball_pairing(p, q, GAUSSIAN, "inner_harm")
+    if not acc:
+        return _ZERO
     return PiScaled(make_gaussian(acc.get(0, 0), acc.get(E12, 0)), pi_power(p.dim))
 
 
 def inner_mon(p: MPoly, q: MPoly) -> PiScaled:
     """Scalar part of the Clifford inner product: integral of scalar(conj(p)*q)."""
     acc = _ball_pairing(p, q, CLIFFORD, "inner_mon", scalar_only=True)
+    if not acc:
+        return _ZERO
     return PiScaled(acc.get(0, 0), pi_power(p.dim))
 
 
@@ -183,5 +194,5 @@ def inner_mon_full(p: MPoly, q: MPoly) -> tuple[Multivector, int]:
     Returns (value, s): an exact multivector of rational coefficients and
     the sqrt(pi) exponent s, meaning value * pi^(s/2).
     """
-    acc = _ball_pairing(p, q, CLIFFORD, "inner_mon")
+    acc = _ball_pairing(p, q, CLIFFORD, "inner_mon_full")
     return Multivector(p.dim, acc), pi_power(p.dim)

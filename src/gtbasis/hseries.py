@@ -67,7 +67,8 @@ class HSeries:
         k = _h_index(k, self.m)
         if sum(k) > self.order:
             raise ValueError(f"h multi-index {k} is beyond the series order {self.order}")
-        return self.terms.get(k, MPoly.zero(self.m, self.ring))
+        poly = self.terms.get(k)
+        return MPoly.zero(self.m, self.ring) if poly is None else poly
 
     def _require_same(self, other: "HSeries") -> None:
         if self.m != other.m or self.ring != other.ring:

@@ -130,7 +130,8 @@ class _FractionTerms(Mapping):
 class MPoly:
     """Immutable sparse polynomial: (exponent tuple, blade) -> integer numerator, over ``den``."""
 
-    __slots__ = ("dim", "ring", "num", "den")
+    # _parity_classes: ballint's index of the terms, set on the first pairing; no method reads it
+    __slots__ = ("dim", "ring", "num", "den", "_parity_classes")
 
     def __init__(self, dim: int, ring: str = GAUSSIAN, terms: dict | None = None):
         """Validate a caller's {exponent tuple: coefficient} map.
@@ -182,7 +183,7 @@ class MPoly:
 
     @classmethod
     def zero(cls, dim: int, ring: str = GAUSSIAN) -> "MPoly":
-        return cls(dim, ring, {})
+        return cls._make(_check_space(dim, ring), ring, {})
 
     @classmethod
     def constant(cls, dim: int, value, ring: str = GAUSSIAN) -> "MPoly":

@@ -8,14 +8,16 @@ conj(a) * b * (the ball integral of x^(ea + eb)), summed per blade.
 from fractions import Fraction
 from operator import add
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_mpoly_properties import PROPERTY_SETTINGS, polys
 
-from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, MonIndex, Multivector, PiScaled,
+from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, MonIndex, MPoly, Multivector, PiScaled,
                      enumerate_harm_indices, enumerate_mon_indices, harm_basis, inner_harm,
                      inner_mon, inner_mon_full, make_gaussian, mon_basis,
                      monomial_ball_integral, pi_power)
+from gtbasis.ballint import _classes
 from gtbasis.clifford import E12, blade_sign
 
 
@@ -72,3 +74,60 @@ def test_pairing_divides_by_both_denominators():
     assert inner_harm(p, q) == inner_harm(p, p) * Fraction(15, 2)
     r = mon_basis(MonIndex((1, 1))).scale(Fraction(2, 9))
     assert inner_mon(r, r) == inner_mon(r.scale(3), r.scale(3)) * Fraction(1, 9)
+
+
+# -- the parity index, built once per polynomial ------------------------------------
+
+
+def _mixed(ring):
+    """A polynomial with terms in several parity classes and, on the clifford ring, blades."""
+    m = 3
+    x = [MPoly.variable(m, j, ring) for j in (1, 2, 3)]
+    blade = Multivector(m, {0b011: 1}) if ring == CLIFFORD else make_gaussian(0, 1)
+    return (x[0] * x[0] + x[1] * x[2] * Fraction(2, 3) + x[0] * blade
+            + x[2] * x[2] * x[2] * Fraction(-5, 7) + MPoly.constant(m, 1, ring))
+
+
+def test_classes_are_built_once_per_polynomial():
+    p = _mixed(GAUSSIAN)
+    classes = _classes(p)
+    assert _classes(p) is classes
+    assert set(classes) == {(0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 0, 1)}
+    assert _classes(MPoly.from_json(p.to_json())) is not classes
+
+
+@pytest.mark.parametrize("ring", [GAUSSIAN, CLIFFORD])
+def test_a_paired_polynomial_keeps_its_equality_hash_and_json(ring):
+    p = _mixed(ring)
+    fresh = MPoly.from_json(p.to_json())
+    (inner_harm if ring == GAUSSIAN else inner_mon_full)(p, p)
+    assert p == fresh and fresh == p
+    assert hash(p) == hash(fresh)
+    assert p.to_json() == fresh.to_json()
+    assert dict(p.terms) == dict(fresh.terms)
+
+
+@pytest.mark.parametrize("ring", [GAUSSIAN, CLIFFORD])
+def test_one_polynomial_reused_across_many_pairings_matches_the_reference(ring):
+    # a stale or shared index would pair p's terms with another polynomial's
+    p = _mixed(ring)
+    m = p.dim
+    x = [MPoly.variable(m, j, ring) for j in (1, 2, 3)]
+    others = [p, p.scale(3), p + x[1], x[0], x[1] * x[2], x[2] * x[2] - x[0] * x[0],
+              MPoly.constant(m, Fraction(1, 2), ring), MPoly.zero(m, ring)]
+    for _ in range(2):
+        for q in others:
+            assert_pairings_match(p, q)
+            assert_pairings_match(q, p)
+            assert_pairings_match(q, q)
+
+
+@pytest.mark.parametrize("pair", [inner_harm, inner_mon])
+def test_a_pair_with_no_shared_parity_class_is_the_canonical_zero(pair):
+    ring = GAUSSIAN if pair is inner_harm else CLIFFORD
+    p, q = MPoly.variable(3, 1, ring), MPoly.constant(3, 5, ring) + MPoly.variable(3, 2, ring)
+    assert _classes(p).keys().isdisjoint(_classes(q))
+    for value in (pair(p, q), pair(q, p)):
+        assert value == PiScaled.zero()
+        assert value.to_json() == PiScaled.zero().to_json()
+        assert (value.q, value.s) == (Fraction(0), 0) and type(value.q) is Fraction

@@ -155,6 +155,24 @@ def test_cauchy_product_associative():
             assert (a * b) * c == a * (b * c)
 
 
+@pytest.mark.parametrize("ring", [GAUSSIAN, CLIFFORD])
+def test_absent_coefficient_is_the_zero_of_the_series_space(ring):
+    series = HSeries(3, 2, ring, {(0, 0): const(3, 1, ring), (1, 0): x(3, 1, ring)})
+    assert series.coefficient((1, 0)) is series.terms[(1, 0)]
+    for k in ((0, 1), (1, 1), (0, 2)):
+        zero = series.coefficient(k)
+        assert zero.is_zero() and (zero.dim, zero.ring) == (3, ring)
+        assert zero == MPoly.zero(3, ring)
+    with pytest.raises(ValueError, match="beyond the series order"):
+        series.coefficient((2, 1))
+
+
+@pytest.mark.parametrize("dim, ring", [(0, GAUSSIAN), (-1, GAUSSIAN), (2, "x"), (2.5, CLIFFORD)])
+def test_zero_polynomial_refuses_a_bad_space(dim, ring):
+    with pytest.raises(ValueError):
+        MPoly.zero(dim, ring)
+
+
 def test_ring_mismatch_rejected():
     with pytest.raises(ValueError):
         HSeries.one(2, 2) * HSeries.one(3, 2)

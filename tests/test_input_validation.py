@@ -1,4 +1,7 @@
-"""Invalid inputs are refused with a ValueError (CLI exit 2), never evaluated."""
+"""Invalid inputs are refused with a ValueError (CLI exit 2), never evaluated.
+
+An operand of the wrong type to an inner product is a TypeError instead.
+"""
 
 import math
 import subprocess
@@ -7,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import (CLIFFORD, BasisIndex, DomainBox, DomainError, HSeries, MonIndex, MPoly, PiScaled,
+from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, DomainBox, DomainError, HSeries, MonIndex,
+                     MPoly, PiScaled,
                      binom_frac, binomial_expand, embedding_F, embedding_f_value, embedding_X,
                      embedding_x_value, enumerate_harm_indices, enumerate_mon_indices,
                      gamma_half, gegenbauer_poly, gf_harm_closed, gf_harm_closed_m3,
                      gf_harm_partial_sum, gf_harm_series, gf_mon_closed, gf_mon_closed_m3,
-                     gf_mon_partial_sum, gf_mon_series, gf_value, iter_multi_indices,
+                     gf_mon_partial_sum, gf_mon_series, gf_value, inner_harm, inner_mon,
+                     inner_mon_full, iter_multi_indices,
                      monomial_ball_integral, pi_power, radius_squared, series_oracle)
 from gtbasis.verify import run_verify
 
@@ -189,6 +194,44 @@ def test_pi_power_rejects_bad_dimension(m):
 def test_gamma_half_rejects_bad_argument(n):
     with pytest.raises(ValueError):
         gamma_half(n)
+
+
+# The inner products: a non-polynomial operand raised a bare AttributeError, and
+# inner_mon_full's ring error named inner_mon.
+_P3, _C3 = MPoly.variable(3, 1), MPoly.variable(3, 1, CLIFFORD)
+
+
+@pytest.mark.parametrize("inner, p, q", [
+    (inner_harm, _P3, 3),
+    (inner_harm, None, _P3),
+    (inner_mon, _C3, Fraction(1, 2)),
+    (inner_mon, [1], _C3),
+    (inner_mon_full, _C3, "x"),
+    (inner_mon_full, 0, 0),
+], ids=["harm-int", "harm-none", "mon-fraction", "mon-list", "full-str", "full-ints"])
+def test_inner_products_refuse_non_polynomials(inner, p, q):
+    with pytest.raises(TypeError, match=f"^{inner.__name__} needs MPoly operands"):
+        inner(p, q)
+
+
+@pytest.mark.parametrize("inner, ring, other", [
+    (inner_harm, CLIFFORD, GAUSSIAN),
+    (inner_mon, GAUSSIAN, CLIFFORD),
+    (inner_mon_full, GAUSSIAN, CLIFFORD),
+])
+def test_inner_products_name_themselves_on_a_ring_mismatch(inner, ring, other):
+    h = MPoly.variable(3, 1, ring)
+    for p, q in ((h, h), (h, MPoly.variable(3, 1, other)), (MPoly.variable(3, 1, other), h)):
+        with pytest.raises(ValueError, match=f"^{inner.__name__} needs {other}-ring polynomials"):
+            inner(p, q)
+
+
+@pytest.mark.parametrize("inner, ring", [
+    (inner_harm, GAUSSIAN), (inner_mon, CLIFFORD), (inner_mon_full, CLIFFORD),
+])
+def test_inner_products_name_both_dimensions_on_a_mismatch(inner, ring):
+    with pytest.raises(ValueError, match=f"^{inner.__name__}: dimension mismatch 3 != 4$"):
+        inner(MPoly.variable(3, 1, ring), MPoly.variable(4, 1, ring))
 
 
 class _Index:
