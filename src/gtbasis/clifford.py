@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import _Immutable, _integer
 from .scalars import GaussianRational, format_gaussian
 
 SCALAR_BLADE = 0
@@ -20,9 +21,12 @@ SCALAR_BLADE = 0
 E12 = 0b11
 
 
-def _check_mask(mask: int, dim: int) -> None:
+def _check_mask(mask, dim: int) -> int:
+    """mask as an int blade of R_{0,dim}; anything else is a ValueError."""
+    mask = _integer(mask, "a blade mask")
     if not 0 <= mask < (1 << dim):
-        raise ValueError(f"blade mask {mask:#b} exceeds dimension {dim}")
+        raise ValueError(f"blade mask {mask:#b} is negative or exceeds dimension {dim}")
+    return mask
 
 
 @lru_cache(maxsize=1 << 16)
@@ -43,8 +47,8 @@ def blade_sign(a: int, b: int) -> int:
 
 def blade_product(a: int, b: int, dim: int) -> tuple[int, int]:
     """Product of two canonical blades of R_{0,dim}: returns (sign, mask)."""
-    _check_mask(a, dim)
-    _check_mask(b, dim)
+    dim = _integer(dim, "the dimension")
+    a, b = _check_mask(a, dim), _check_mask(b, dim)
     return blade_sign(a, b), a ^ b
 
 
@@ -56,6 +60,9 @@ def conjugation_sign(mask: int) -> int:
 
 def blade_name(mask: int) -> str:
     """Human name of a blade: '1' for the scalar, else e.g. 'e13'."""
+    mask = _integer(mask, "a blade mask")
+    if mask < 0:
+        raise ValueError(f"blade mask {mask:#b} is negative")
     if mask == 0:
         return "1"
     return "e" + "".join(str(j + 1) for j in range(mask.bit_length()) if mask >> j & 1)
@@ -70,20 +77,22 @@ def _is_exact(c) -> bool:
     return isinstance(c, _EXACT)
 
 
-class Multivector:
+class Multivector(_Immutable):
     """Immutable element of R_{0,m} with sparse blade coefficients."""
 
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: dict | None = None):
+        # exact ints skip the gates: the float evaluators build one Multivector per call
+        dim = dim if type(dim) is int else _integer(dim, "the dimension")
         if dim < 0:
             raise ValueError("dimension must be non-negative")
         clean = {}
         exact = None
         size = 1 << dim
         for mask, coeff in (terms or {}).items():
-            if not 0 <= mask < size:
-                _check_mask(mask, dim)
+            if type(mask) is not int or not 0 <= mask < size:
+                mask = _check_mask(mask, dim)
             # float first: the exact test runs Fraction's ABC isinstance hook
             if isinstance(coeff, _FLOAT):
                 this_exact = False
@@ -103,9 +112,6 @@ class Multivector:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -123,6 +129,7 @@ class Multivector:
     @classmethod
     def basis_vector(cls, dim: int, j: int) -> "Multivector":
         """e_j, 1-based."""
+        dim, j = _integer(dim, "the dimension"), _integer(j, "the generator index")
         if not 1 <= j <= dim:
             raise ValueError(f"generator index {j} out of range 1..{dim}")
         return cls(dim, {1 << (j - 1): 1})

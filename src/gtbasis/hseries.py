@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import _integer
+from .errors import _Immutable, _integer, _json_reader
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _check_space, radius_squared
 from .scalars import binom_frac
 
@@ -26,7 +26,7 @@ def _h_index(k, m: int) -> tuple:
     return k
 
 
-class HSeries:
+class HSeries(_Immutable):
     """Immutable truncated series: multi-index (k_2..k_m) -> MPoly in x."""
 
     __slots__ = ("m", "order", "ring", "terms")
@@ -53,9 +53,6 @@ class HSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HSeries is immutable")
 
     @classmethod
     def one(cls, m: int, order: int, ring: str = GAUSSIAN) -> "HSeries":
@@ -116,7 +113,7 @@ class HSeries:
             out["ring"] = self.ring
         return out
 
-    @classmethod
+    @_json_reader
     def from_json(cls, data: dict) -> "HSeries":
         terms = {tuple(entry["k"]): MPoly.from_json(entry["poly"])
                  for entry in data["terms"]}

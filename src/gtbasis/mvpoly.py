@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import add
 
 from .clifford import E12, Multivector, blade_sign, conjugation_sign
-from .errors import _integer
+from .errors import _Immutable, _integer, _json_reader
 from .scalars import GaussianRational, make_gaussian
 
 GAUSSIAN = "gaussian"
@@ -127,7 +127,7 @@ class _FractionTerms(Mapping):
         return repr(dict(self.items()))
 
 
-class MPoly:
+class MPoly(_Immutable):
     """Immutable sparse polynomial: (exponent tuple, blade) -> integer numerator, over ``den``."""
 
     # _parity_classes: ballint's index of the terms, set on the first pairing; no method reads it
@@ -170,9 +170,6 @@ class MPoly:
     def _like(self, num: dict) -> "MPoly":
         """A polynomial of this space from numerators that stay canonical over self.den."""
         return _fill(object.__new__(MPoly), self.dim, self.ring, num, self.den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MPoly is immutable")
 
     @property
     def terms(self) -> Mapping:
@@ -513,7 +510,7 @@ class MPoly:
                 entries.append(entry)
         return {"m": self.dim, "ring": self.ring, "terms": entries}
 
-    @classmethod
+    @_json_reader
     def from_json(cls, data: dict) -> "MPoly":
         ring = data["ring"]
         dim = _check_space(data["m"], ring)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import _integer
+from .errors import _Immutable, _integer, _json_reader
 
 
 def _fraction(value) -> Fraction:
@@ -40,7 +40,7 @@ def make_gaussian(re, im=0):
     return GaussianRational(re, im)
 
 
-class GaussianRational:
+class GaussianRational(_Immutable):
     """A complex number a + b*i with rational a, b and b != 0 in canonical form."""
 
     __slots__ = ("re", "im")
@@ -48,9 +48,6 @@ class GaussianRational:
     def __init__(self, re, im):
         object.__setattr__(self, "re", _fraction(re))
         object.__setattr__(self, "im", _fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     def conjugate(self):
         return make_gaussian(self.re, -self.im)
@@ -183,7 +180,7 @@ def binom_frac(alpha: Fraction, n: int) -> Fraction:
     return num / math.factorial(n)
 
 
-class PiScaled:
+class PiScaled(_Immutable):
     """Exact value q * pi**(s/2) with rational (or Gaussian rational) q.
 
     Values with different pi powers never add silently: addition requires
@@ -202,9 +199,6 @@ class PiScaled:
             q, s = Fraction(0), 0
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiScaled is immutable")
 
     @classmethod
     def zero(cls):
@@ -286,7 +280,7 @@ class PiScaled:
             out["q_iden"] = pair[1].denominator
         return out
 
-    @classmethod
+    @_json_reader
     def from_json(cls, data: dict) -> "PiScaled":
         re = Fraction(data["q_num"], data["q_den"])
         im = Fraction(data.get("q_inum", 0), data.get("q_iden", 1))

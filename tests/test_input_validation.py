@@ -11,13 +11,13 @@ from fractions import Fraction
 import pytest
 
 from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, DomainBox, DomainError, HSeries, MonIndex,
-                     MPoly, PiScaled,
-                     binom_frac, binomial_expand, embedding_F, embedding_f_value, embedding_X,
-                     embedding_x_value, enumerate_harm_indices, enumerate_mon_indices,
-                     gamma_half, gegenbauer_poly, gf_harm_closed, gf_harm_closed_m3,
-                     gf_harm_partial_sum, gf_harm_series, gf_mon_closed, gf_mon_closed_m3,
-                     gf_mon_partial_sum, gf_mon_series, gf_value, inner_harm, inner_mon,
-                     inner_mon_full, iter_multi_indices,
+                     MPoly, Multivector, PiScaled,
+                     binom_frac, binomial_expand, blade_name, blade_product, embedding_F,
+                     embedding_f_value, embedding_X, embedding_x_value, enumerate_harm_indices,
+                     enumerate_mon_indices, gamma_half, gegenbauer_poly, gf_harm_closed,
+                     gf_harm_closed_m3, gf_harm_partial_sum, gf_harm_series, gf_mon_closed,
+                     gf_mon_closed_m3, gf_mon_partial_sum, gf_mon_series, gf_value, inner_harm,
+                     inner_mon, inner_mon_full, iter_multi_indices,
                      monomial_ball_integral, pi_power, radius_squared, series_oracle)
 from gtbasis.verify import run_verify
 
@@ -359,6 +359,13 @@ _C1, _C2 = MPoly.variable(3, 3).scale(-2), radius_squared(3)
     lambda: binomial_expand(-1, _C1, _C2, 3.0, 2),
     lambda: enumerate_harm_indices(3.0, 2),
     lambda: MPoly.variable(2, 1).deriv(1.0),
+    lambda: Multivector(2.0, {}),
+    lambda: Multivector.basis_vector(2, 1.0),
+    lambda: Multivector(2, {1.0: 1}),
+    lambda: Multivector.blade(2, 1.5),
+    lambda: blade_name(1.5),
+    lambda: blade_product(1, 2, 3.0),
+    lambda: blade_product(1.0, 2, 3),
 ], ids=["pi-power", "zero-pi-power", "pi-power-json", "series-order", "series-dim",
         "series-order-json", "gegenbauer-k", "gegenbauer-k-fraction", "box-dim",
         "box-dim-float", "closed-dim-unsafe", "closed-dim", "mon-indices-dim",
@@ -366,7 +373,9 @@ _C1, _C2 = MPoly.variable(3, 3).scale(-2), radius_squared(3)
         "harm-series-order", "mon-series-order", "harm-series-dim", "partial-sum-order",
         "partial-sum-dim", "multi-indices-total", "variable-dim", "variable-index",
         "radius-dim", "embed-dim", "series-one-dim", "binomial-order", "binomial-var",
-        "harm-indices-dim", "deriv-index"])
+        "harm-indices-dim", "deriv-index", "multivector-dim", "basis-vector-index",
+        "multivector-mask", "blade-mask", "blade-name-mask", "blade-product-dim",
+        "blade-product-mask"])
 def test_counts_refuse_non_integers(make):
     with pytest.raises(ValueError, match="must be an integer"):
         make()
@@ -417,3 +426,44 @@ def test_counts_accept_integer_like_values():
     assert binomial_expand(-1, _C1, _C2, _Index(3), _Index(2)) == \
         binomial_expand(-1, _C1, _C2, 3, 2)
     assert MPoly.variable(2, 1).deriv(_Index(1)) == MPoly.constant(2, 1)
+    assert Multivector(_Index(2), {_Index(1): 0.5}) == Multivector(2, {1: 0.5})
+    assert Multivector.basis_vector(_Index(2), _Index(1)) == Multivector.basis_vector(2, 1)
+    assert Multivector.blade(2, _Index(3)) == Multivector.blade(2, 3)
+    assert blade_name(_Index(5)) == "e13"
+    assert blade_product(_Index(1), _Index(2), _Index(3)) == (1, 3)
+
+
+# blade_name(-1) was 'e1'
+@pytest.mark.parametrize("make", [
+    lambda: blade_name(-1),
+    lambda: Multivector(2, {-1: 1.0}),
+    lambda: Multivector.blade(2, -3),
+    lambda: blade_product(1, -1, 2),
+], ids=["blade-name", "multivector", "blade", "blade-product"])
+def test_negative_blade_masks_are_refused(make):
+    with pytest.raises(ValueError, match="^blade mask -0b1+ is negative"):
+        make()
+
+
+# Each of these was a KeyError, a TypeError or a ZeroDivisionError
+_TERM = {"exp": [0, 0], "num": 1, "den": 1}
+
+
+@pytest.mark.parametrize("read, document", [
+    (MPoly.from_json, {}),
+    (MPoly.from_json, {"m": 2, "ring": GAUSSIAN, "terms": [{"exp": [0, 0], "den": 1}]}),
+    (MPoly.from_json, {"m": 2, "ring": GAUSSIAN, "terms": [dict(_TERM, den=0)]}),
+    (MPoly.from_json, {"m": 2, "ring": CLIFFORD, "terms": [dict(_TERM, blade=1.0)]}),
+    (MPoly.from_json, {"m": 2, "ring": GAUSSIAN, "terms": [dict(_TERM, num=1.5)]}),
+    (MPoly.from_json, {"m": 2, "ring": GAUSSIAN, "terms": [[0, 0]]}),
+    (HSeries.from_json, {}),
+    (HSeries.from_json, {"m": 3, "order": 1, "terms": [{"k": 0}]}),
+    (PiScaled.from_json, {}),
+    (PiScaled.from_json, {"q_num": 1, "q_den": 0, "sqrt_pi_pow": 0}),
+    (PiScaled.from_json, None),
+], ids=["mpoly-empty", "mpoly-no-num", "mpoly-zero-den", "mpoly-float-blade",
+        "mpoly-float-num", "mpoly-list-term", "hseries-empty", "hseries-int-k",
+        "piscaled-empty", "piscaled-zero-den", "piscaled-none"])
+def test_malformed_json_documents_are_refused(read, document):
+    with pytest.raises(ValueError, match=f"^malformed {read.__self__.__name__} document: "):
+        read(document)

@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 import gtbasis
+from test_verify_report_digest import VERIFY_SEED0_SHA256
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gtbasis.__file__)))
-ENV = dict(os.environ, PYTHONPATH=SRC, GTBASIS_THREADS="1")
+ENV = dict(os.environ, PYTHONPATH=SRC)
 
 # `python -m gtbasis ARGS...` in an interpreter where `import numpy` fails.
 NO_NUMPY_MAIN = """
@@ -17,8 +18,6 @@ sys.modules["numpy"] = None
 sys.argv = ["gtbasis", *sys.argv[1:]]
 runpy.run_module("gtbasis", run_name="__main__", alter_sys=True)
 """
-
-VERIFY_SEED0_SHA256 = "e13e131bf68ee683a831e474e85a23c9466ab10b79e2c9ae060846550232664b"
 
 
 def _run(*args):

@@ -13,7 +13,8 @@ U_r applied to all of them.  Those loops also check that every odd blade
 stays exactly 0, the invariant the even-blade lists rest on.  The harmonic
 sum must likewise give the bits of the list-at-a-time loop copied below, with
 each F row reading x_r and |x|_r^2 afresh.  Last, a digest pins the order-30
-sums of both families as they were computed before the even-blade tables.
+sums of both families as they were computed before the even-blade tables, and
+another a seeded sample of closed forms and order-6 sums.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ import random
 import pytest
 
 from gtbasis import (FACTORIAL, PLAIN, DomainBox, Multivector, blade_product, embedding_f_value,
-                     embedding_x_value, gf_harm_partial_sum, gf_mon_closed,
+                     embedding_x_value, gf_harm_closed, gf_harm_partial_sum, gf_mon_closed,
                      gf_mon_partial_sum, iter_multi_indices)
 from gtbasis.harmonics import _closed_form, _f_diagonals
 from gtbasis.verify import GF_TOL
@@ -327,9 +328,12 @@ def test_harm_partial_sum_is_bit_identical_to_the_list_at_a_time_loop(m, norm):
 
 
 # sha256 of the repr of the order-30 sums below, computed before the sums moved
-# to even blades and diagonal tables; CI computes the same digest on every
-# Python version the package supports
+# to even blades and diagonal tables; the same on every Python version the
+# package supports
 ORDER_30_SHA256 = "ebdf4104ed710e188a6472114f822eb4e206a7e8100608338b78938bb9c0ec56"
+
+# sha256 of the repr of a seeded sample of 1,500 closed forms and order-6 sums
+FLOAT_SAMPLE_SHA256 = "0a7e3d57035bdf3f8ec36c41c6fca70f3bb8ca8fb5c75234135bb697a0f625f8"
 
 
 def test_order_30_partial_sums_are_pinned():
@@ -348,3 +352,23 @@ def test_order_30_partial_sums_are_pinned():
                        gf_mon_partial_sum(m, x, h, 30, norm).terms)
                 digest.update(repr(out).encode())
     assert digest.hexdigest() == ORDER_30_SHA256
+
+
+def test_closed_forms_and_order_6_sums_are_pinned():
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for i in range(1500):
+        m = rng.randint(2, 5)
+        x = [rng.uniform(-1.0, 1.0) / m for _ in range(m)]
+        h = [rng.uniform(-1.0, 1.0)] + [rng.uniform(-0.5, 0.5) / 4 ** (m - r)
+                                         for r in range(3, m + 1)]
+        norm = rng.choice([FACTORIAL, PLAIN])
+        if i % 2:
+            sign = rng.choice([1, -1])
+            out = (gf_harm_closed(m, x, h, sign, norm),
+                   gf_harm_partial_sum(m, x, h, 6, sign, norm))
+        else:
+            out = (gf_mon_closed(m, x, h, norm).terms,
+                   gf_mon_partial_sum(m, x, h, 6, norm).terms)
+        digest.update(repr(out).encode())
+    assert digest.hexdigest() == FLOAT_SAMPLE_SHA256

@@ -1,18 +1,23 @@
 """Pinned digests of the exact outputs: bases, series and Gram entries.
 
-Each digest is the sha256 of the canonical JSON (sorted keys, no spaces) of
-every object in the group, one object per line.  A refactor of the exact
-paths must reproduce these bytes, not only equal values.
+Each library digest is the sha256 of the canonical JSON (sorted keys, no
+spaces) of every object in the group, one object per line.  Each CLI digest
+is the sha256 of the stdout bytes of one `gtbasis basis` or `gtbasis genfun
+series` call.  A refactor of the exact paths must reproduce these bytes, not
+only equal values.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from gtbasis import (FACTORIAL, PLAIN, enumerate_harm_indices, enumerate_mon_indices,
                      gf_harm_series, gf_mon_series, harm_basis, inner_harm, inner_mon,
                      mon_basis)
+from gtbasis.cli import main
 
 PINNED = {
     ("harm_basis", FACTORIAL): "f9816e7a7bf880545f8c01222b41924a8f974a51326cf9f09105b1ba5741a797",
@@ -73,3 +78,40 @@ def test_gram_harm_digest():
 def test_gram_mon_digest():
     polys = [mon_basis(idx) for idx in enumerate_mon_indices(3, 2)]
     assert _digest(_upper_gram(inner_mon, polys)) == PINNED[("gram_mon",)]
+
+
+def cli_stdout_sha256(*argv) -> str:
+    """sha256 of the stdout bytes of `gtbasis ARGV...`, which must exit 0."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(list(argv)) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+CLI_PINNED = {
+    "series-mon-m4": (
+        "genfun series --kind mon --m 4 --order 4",
+        "6068463ac935ff57369568a8fd8d63cb85f4a8fc426c964454e65f73ee0d0226"),
+    # three lifts on each ring from the plain base
+    "series-harm-m5-plain": (
+        "genfun series --kind harm --m 5 --order 4 --sign=- --norm plain",
+        "8f4ec5344ffee0c7c103277de19dcfc66e59b5013144f4741f82c832c6e678bf"),
+    "series-mon-m5-plain": (
+        "genfun series --kind mon --m 5 --order 3 --norm plain",
+        "dca264f18db8904f7f6189e13ad283e0eb48e77f0c315d4cb9cb2ee6ce29d7d9"),
+    "basis-harm-m4": (
+        "basis --kind harm --m 4 --k 1,2,1 --format json",
+        "31810cb0c145365026c54736678b38cadf8189b2c4ad299f75f8856c4d41a0d5"),
+    # high degrees: F^(100)_{3,0} and X^(30)_{4,1}
+    "basis-harm-m3-k100": (
+        "basis --kind harm --m 3 --k 0,100 --format json",
+        "1304579c35369d22e2854f2d6b88e38dfc89160b1dcb60fd75dd6d7052766acc"),
+    "basis-mon-m4-k30": (
+        "basis --kind mon --m 4 --k 1,0,30 --format json",
+        "fc60fef408237da72346a3313af503d8188550321014470cec54b40a26e9c897"),
+}
+
+
+@pytest.mark.parametrize("command, digest", CLI_PINNED.values(), ids=CLI_PINNED.keys())
+def test_cli_json_output_is_pinned(command, digest):
+    assert cli_stdout_sha256(*command.split()) == digest
