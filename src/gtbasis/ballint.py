@@ -32,7 +32,7 @@ from functools import lru_cache
 from operator import add
 
 from .clifford import E12, Multivector, blade_sign, conjugation_sign
-from .errors import _integer
+from .errors import _at_least
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly
 from .scalars import PiScaled, make_gaussian
 
@@ -40,18 +40,9 @@ __all__ = ["gamma_half", "monomial_ball_integral", "inner_harm", "inner_mon",
            "inner_mon_full", "pi_power"]
 
 
-def _dimension(m) -> int:
-    m = _integer(m, "the dimension m")
-    if m < 1:
-        raise ValueError("dimension must be at least 1")
-    return m
-
-
 def gamma_half(n: int) -> PiScaled:
     """Gamma(n/2) for integer n >= 1, exactly: rational times sqrt(pi)^(n mod 2)."""
-    n = _integer(n, "gamma_half's argument")
-    if n < 1:
-        raise ValueError("gamma_half needs n >= 1")
+    n = _at_least(n, "gamma_half's argument", 1)
     if n % 2 == 0:
         return PiScaled(math.factorial(n // 2 - 1), 0)
     q = Fraction(1)
@@ -62,7 +53,7 @@ def gamma_half(n: int) -> PiScaled:
 
 def pi_power(m: int) -> int:
     """The sqrt(pi) exponent shared by all nonzero ball integrals in dimension m >= 1."""
-    m = _dimension(m)
+    m = _at_least(m, "the dimension m", 1)
     return m if m % 2 == 0 else m - 1
 
 
@@ -90,15 +81,13 @@ def _ball_integral_cached(m: int, alpha: tuple) -> PiScaled:
 
 def monomial_ball_integral(m: int, alpha) -> PiScaled:
     """Exact integral of x_1^a1 ... x_m^am over the unit ball in R^m."""
-    m = _dimension(m)
+    m = _at_least(m, "the dimension m", 1)
     try:
-        alpha = tuple(_integer(a, "an exponent") for a in alpha)
+        alpha = tuple(_at_least(a, "an exponent", 0) for a in alpha)
     except TypeError:
         raise ValueError("the exponents must be a sequence of integers") from None
     if len(alpha) != m:
         raise ValueError(f"exponent vector needs {m} entries")
-    if any(a < 0 for a in alpha):
-        raise ValueError("exponents must be non-negative")
     return _ball_integral_cached(m, alpha)
 
 

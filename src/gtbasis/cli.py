@@ -18,7 +18,7 @@ import json
 import sys
 
 from .errors import DomainError, SingularityError
-from .harmonics import (FACTORIAL, PLAIN, BasisIndex, _norm_sign, gf_harm_closed,
+from .harmonics import (FACTORIAL, PLAIN, BasisIndex, _dimension, _norm_sign, gf_harm_closed,
                         gf_harm_series, harm_basis)
 from .monogenics import MonIndex, gf_mon_closed, gf_mon_series, mon_basis
 from .clifford import blade_name
@@ -95,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_basis(args) -> int:
-    if args.m < 2:
-        raise ValueError("dimension must be at least 2")
+    _dimension(args.m)
     if len(args.k) != args.m - 1:
         raise ValueError(f"--k needs {args.m - 1} entries for --m {args.m}")
     if args.kind == "harm":

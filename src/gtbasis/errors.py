@@ -1,6 +1,10 @@
-"""Exceptions, error texts, the integer argument check, the JSON reader guard and the
-immutable base of the value types, shared across modules."""
+"""Exceptions, error texts, the argument gates (integer, bounded integer, exact rational),
+the float-range boundary, the JSON reader guard and the immutable base of the value types,
+shared across modules."""
 
+from cmath import isfinite
+from fractions import Fraction
+from functools import wraps
 from operator import index
 
 FLOAT_OVERFLOW = "the generating-function value overflows the float range"
@@ -20,6 +24,42 @@ def _integer(value, what: str) -> int:
         return index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _at_least(value, what: str, low: int) -> int:
+    """value as an int (_integer) of at least low; a smaller one is a ValueError."""
+    value = _integer(value, what)
+    if value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
+def _rational(value, what: str) -> Fraction:
+    """value as a Fraction: an int or a Fraction; anything else (a float too) is a ValueError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
+def _float_value(evaluate):
+    """evaluate as a float entry point: an OverflowError it raises, or a result that is not
+    finite (a float, a complex or a float Multivector), is a FLOAT_OVERFLOW ValueError."""
+    @wraps(evaluate)
+    def checked(*args, **kwargs):
+        try:
+            value = evaluate(*args, **kwargs)
+        except OverflowError as exc:
+            raise ValueError(FLOAT_OVERFLOW) from exc
+        if isinstance(value, (float, complex)):
+            finite = isfinite(value)
+        else:
+            finite = all(map(isfinite, value.terms.values()))
+        if not finite:
+            raise ValueError(FLOAT_OVERFLOW)
+        return value
+    return checked
 
 
 def _json_reader(read):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FLOAT_OVERFLOW, _integer
+from .errors import FLOAT_OVERFLOW, _at_least, _float_value, _rational
 from .scalars import binom_frac
 
 
@@ -39,11 +39,9 @@ class GegenbauerPoly:
         return acc
 
 
-def _check_nu(nu: Fraction) -> Fraction:
-    try:
-        nu = Fraction(nu)
-    except OverflowError as exc:  # Fraction(inf)
-        raise ValueError(f"nu must be finite, got {nu}") from exc
+def _check_nu(nu) -> Fraction:
+    """nu as a positive Fraction; it must be an int or a Fraction (_rational)."""
+    nu = _rational(nu, "nu")
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     return nu
@@ -56,9 +54,7 @@ def gegenbauer_poly(nu: Fraction, k: int) -> GegenbauerPoly:
     The cache is typed: an untyped one returns a cached C_2 for k = 2.0, a
     degree the integer check below refuses on a cold cache.
     """
-    nu, k = _check_nu(nu), _integer(k, "k")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    nu, k = _check_nu(nu), _at_least(k, "k", 0)
     if k == 0:
         return GegenbauerPoly(nu, 0, (Fraction(1),))
     if k == 1:
@@ -81,7 +77,7 @@ def series_oracle(nu: Fraction, order: int) -> list[tuple[Fraction, ...]]:
     Expands sum_n binom(-nu, n) * u^n with u = -2*t*h + h^2 using plain dict
     arithmetic.  Entry k of the result is the coefficient tuple of C_k^nu.
     """
-    nu, order = _check_nu(nu), _integer(order, "order")
+    nu, order = _check_nu(nu), _at_least(order, "order", 0)
     # h-degree -> {t-degree: Fraction}
     out: list[dict] = [dict() for _ in range(order + 1)]
     u = {1: {1: Fraction(-2)}, 2: {0: Fraction(1)}}
@@ -111,12 +107,18 @@ def series_oracle(nu: Fraction, order: int) -> list[tuple[Fraction, ...]]:
     return result
 
 
+@_float_value
 def gf_value(nu, t: float, h: float) -> float:
     """Closed-form generating function (1 - 2*t*h + h^2)^(-nu) for floats.
 
-    t and h must be finite.  A kernel or value beyond the float range is a
+    nu may also be a finite float, taken at its exact binary value; t and h
+    must be finite.  A kernel or value beyond the float range is a
     FLOAT_OVERFLOW ValueError.
     """
+    if isinstance(nu, float):
+        if not math.isfinite(nu):
+            raise ValueError(f"nu must be finite, got {nu}")
+        nu = Fraction(nu)
     exponent = -float(_check_nu(nu))
     if not (math.isfinite(t) and math.isfinite(h)):
         raise ValueError("t and h must be finite")
@@ -125,7 +127,4 @@ def gf_value(nu, t: float, h: float) -> float:
         raise ValueError(FLOAT_OVERFLOW)
     if base <= 0:
         raise ValueError("generating-function kernel is not positive")
-    try:
-        return base ** exponent
-    except OverflowError as exc:
-        raise ValueError(FLOAT_OVERFLOW) from exc
+    return base ** exponent

@@ -36,7 +36,8 @@ from itertools import compress
 from operator import add, mul
 
 from .clifford import E12
-from .errors import FLOAT_OVERFLOW, DomainError, SingularityError, _integer
+from .errors import (FLOAT_OVERFLOW, DomainError, SingularityError, _at_least, _float_value,
+                     _integer)
 from .hseries import HSeries, exp_series, lift_step, power_series
 from .mvpoly import GAUSSIAN, MPoly, radius_squared
 
@@ -62,9 +63,7 @@ def _check_norm(normalization: str) -> str:
 
 def iter_multi_indices(parts: int, total: int):
     """All tuples of `parts` non-negative ints with sum <= total, lexicographic."""
-    parts, total = _integer(parts, "parts"), _integer(total, "total")
-    if parts < 0:
-        raise ValueError(f"parts must be non-negative, got {parts}")
+    parts, total = _at_least(parts, "parts", 0), _integer(total, "total")
     if parts == 0:
         yield ()
         return
@@ -75,10 +74,7 @@ def iter_multi_indices(parts: int, total: int):
 
 def _dimension(m) -> int:
     """m as an int of at least 2; anything else is a ValueError."""
-    m = _integer(m, "the dimension m")
-    if m < 2:
-        raise ValueError("dimension must be at least 2")
-    return m
+    return _at_least(m, "dimension", 2)
 
 
 @dataclass(frozen=True)
@@ -91,12 +87,10 @@ class _Index:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(_integer(v, "an index entry") for v in self.k))
+        object.__setattr__(self, "k", tuple(_at_least(v, "an index entry", 0) for v in self.k))
         _check_norm(self.normalization)
         if len(self.k) < 1:
             raise ValueError("index needs at least the k_2 entry (m >= 2)")
-        if any(v < 0 for v in self.k):
-            raise ValueError("index entries must be non-negative")
 
     @property
     def m(self) -> int:
@@ -176,16 +170,7 @@ def _in_box(m: int, h) -> bool:
 
 def _factor_label(m, j, k, k_min: int = -1) -> tuple:
     """(m, j, k) as ints with m >= 3, j >= 0 and k >= k_min; anything else is a ValueError."""
-    m = _integer(m, "the dimension m")
-    j = _integer(j, "j")
-    k = _integer(k, "k")
-    if m < 3:
-        raise ValueError("embedding factors need m >= 3")
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    if k < k_min:
-        raise ValueError(f"k must be >= {k_min}")
-    return m, j, k
+    return _at_least(m, "the dimension m", 3), _at_least(j, "j", 0), _at_least(k, "k", k_min)
 
 
 @lru_cache(maxsize=1024, typed=True)  # Fraction(3, 2) == 1.5, but each steps in its own type
@@ -312,20 +297,23 @@ def _descend(x, h):
 
     Returns the levels [(r, d_r, h_r)] for r = m..3, where h_r is the already
     rescaled h entry and d_r = 1 - 2*x_r*h_r + h_r^2*|x|_r^2 > 0, and the final
-    rescaled h_2.  Each level divides the remaining h entries by d_r.  A kernel
-    that is not finite (|x|^2 or h_r^2 overflowed) is a FLOAT_OVERFLOW ValueError.
+    rescaled h_2.  An h entry is rescaled by dividing it by the d of each level
+    above its own, from r = m down.  A kernel that is not finite (|x|^2 or h_r^2
+    overflowed) is a FLOAT_OVERFLOW ValueError.
     """
-    levels = []
+    levels, h2 = [], h[0]
     for r in range(len(x), 2, -1):
-        r2 = _sum_squares(x[:r])
-        d = 1.0 - 2.0 * x[r - 1] * h[r - 2] + h[r - 2] * h[r - 2] * r2
+        hr = h[r - 2]
+        for _, above, _ in levels:
+            hr /= above
+        d = 1.0 - 2.0 * x[r - 1] * hr + hr * hr * _sum_squares(x[:r])
         if not math.isfinite(d):
             raise ValueError(FLOAT_OVERFLOW)
         if d <= 0.0:
             raise SingularityError(f"kernel d_{r} = {d} is not positive")
-        levels.append((r, d, h[r - 2]))
-        h = [v / d for v in h[: r - 2]]
-    return levels, h[0]
+        levels.append((r, d, hr))
+        h2 /= d
+    return levels, h2
 
 
 def _plain_denominator(x1: float, x2: float, h2: float) -> float:
@@ -372,23 +360,18 @@ def _closed_form(m: int, x, h, lift: int, sign: int, normalization: str,
     (x, levels, value) with value = prod_r d_r^(lift - r/2) * base value at the
     rescaled h_2 as a complex number: lift = 1 gives the harmonic generating
     function, lift = 0 the scalar part of the monogenic one before its
-    prefactors (base sign -1, e12 read as i).  A value beyond the float range
-    is a FLOAT_OVERFLOW ValueError.
+    prefactors (base sign -1, e12 read as i).  The entry points' float-range
+    boundary (errors._float_value) refuses a value beyond the float range.
     """
     x, h = _check_point(m, x, h, unsafe_domain)
     levels, h2 = _descend(x, h)
-    try:
-        value = complex(1.0)
-        for r, d, _ in levels:
-            value *= d ** (lift - r / 2.0)
-        value *= _base2_value(x[0], x[1], h2, sign, normalization)
-    except OverflowError as exc:
-        raise ValueError(FLOAT_OVERFLOW) from exc
-    if not cmath.isfinite(value):
-        raise ValueError(FLOAT_OVERFLOW)
-    return x, levels, value
+    value = complex(1.0)
+    for r, d, _ in levels:
+        value *= d ** (lift - r / 2.0)
+    return x, levels, value * _base2_value(x[0], x[1], h2, sign, normalization)
 
 
+@_float_value
 def gf_harm_closed(m: int, x, h, sign=+1, normalization: str = FACTORIAL,
                    unsafe_domain: bool = False) -> complex:
     """Closed-form value of the generating function by downward dimension recursion."""
@@ -397,40 +380,19 @@ def gf_harm_closed(m: int, x, h, sign=+1, normalization: str = FACTORIAL,
     return _closed_form(m, x, h, 1, sign, normalization, unsafe_domain)[2]
 
 
-def _kernel_m3(x, h, unsafe_domain: bool):
-    """The checked point of a literal m = 3 formula and d_3 = 1 - 2*x_3*h_3 + h_3^2*|x|^2.
-
-    Returns (x, h, d_3); the raises are those of _descend at r = 3.
-    """
-    x, h = _check_point(3, x, h, unsafe_domain)
-    x1, x2, x3 = x
-    h3 = h[1]
-    d = 1.0 - 2.0 * x3 * h3 + h3 * h3 * (x1 * x1 + x2 * x2 + x3 * x3)
-    if not math.isfinite(d):
-        raise ValueError(FLOAT_OVERFLOW)
-    if d <= 0.0:
-        raise SingularityError(f"kernel d_3 = {d} is not positive")
-    return x, h, d
-
-
+@_float_value
 def gf_harm_closed_m3(x, h, sign=+1, normalization: str = FACTORIAL,
                       unsafe_domain: bool = False) -> complex:
-    """Literal m = 3 closed formula: d^(-1/2) * exp((x_1 +/- i*x_2) h_2 / d)."""
+    """Literal m = 3 closed formula: d^(-1/2) * exp((x_1 +/- i*x_2) h_2 / d), d = d_3 (_descend)."""
     sign = _norm_sign(sign)
     _check_norm(normalization)
-    (x1, x2, _), (h2, _), d = _kernel_m3(x, h, unsafe_domain)
+    x, h = _check_point(3, x, h, unsafe_domain)
+    [(_, d, _)], _ = _descend(x, h)
+    (x1, x2, _), (h2, _) = x, h
     if normalization == FACTORIAL:
-        try:
-            value = d ** -0.5 * _exp(complex(x1 * h2 / d, sign * x2 * h2 / d))
-        except OverflowError as exc:
-            raise ValueError(FLOAT_OVERFLOW) from exc
-    else:
-        g = h2 / d
-        denom = _plain_denominator(x1, x2, g)
-        value = d ** -0.5 * (1.0 - complex(x1, -sign * x2) * g) / denom
-    if not cmath.isfinite(value):
-        raise ValueError(FLOAT_OVERFLOW)
-    return value
+        return d ** -0.5 * _exp(complex(x1 * h2 / d, sign * x2 * h2 / d))
+    g = h2 / d
+    return d ** -0.5 * (1.0 - complex(x1, -sign * x2) * g) / _plain_denominator(x1, x2, g)
 
 
 def _gf_series(base: MPoly, m: int, order: int, normalization: str) -> HSeries:
@@ -467,6 +429,7 @@ def _f_inputs(m: int, x) -> tuple:
     return coords[-1], r2
 
 
+@_float_value
 def embedding_f_value(m: int, j: int, k: int, x) -> float:
     """Float value of F^(k)_{m,j} at a point (first m coordinates of x are used).
 
@@ -478,10 +441,7 @@ def embedding_f_value(m: int, j: int, k: int, x) -> float:
         raise ValueError(f"x needs at least {m} coordinates")
     if k == -1:
         return 0.0
-    value = _f_row(_f_steps(m / 2.0 + j - 1.0, k), *_f_inputs(m, x), 0.0, 1.0)[k]
-    if not math.isfinite(value):
-        raise ValueError(FLOAT_OVERFLOW)
-    return value
+    return _f_row(_f_steps(m / 2.0 + j - 1.0, k), *_f_inputs(m, x), 0.0, 1.0)[k]
 
 
 def _base_powers(base: complex, order: int, normalization: str) -> list:
@@ -496,11 +456,8 @@ def _base_powers(base: complex, order: int, normalization: str) -> list:
 
 
 def _float_powers(base: float, order: int) -> list:
-    """[base^0, ..., base^order]; a power beyond the float range is a FLOAT_OVERFLOW ValueError."""
-    try:
-        return [base ** k for k in range(order + 1)]
-    except OverflowError as exc:
-        raise ValueError(FLOAT_OVERFLOW) from exc
+    """[base^0, ..., base^order]; a power beyond the float range is an OverflowError."""
+    return [base ** k for k in range(order + 1)]
 
 
 def _f_diagonals(m: int, order: int, x) -> list:
@@ -553,12 +510,10 @@ def _partial_sum(x, h, order: int, sign: int, normalization: str, entries, split
     the lower half of level_r[s] and the b terms its upper half.  A level holds one
     column over s per blade; a dimension costs one F table and order + 1 products
     by U_r, and each blade is summed on its own (_sums).  A power of an h entry
-    beyond the float range, or a total that is not finite, is a FLOAT_OVERFLOW
-    ValueError, as in the closed forms.
+    beyond the float range raises OverflowError; the entry points' float-range
+    boundary turns it, and a total that is not finite, into a ValueError.
     """
-    order = _integer(order, "order")
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    order = _at_least(order, "order", 0)
     base_values = _base_powers(complex(x[0], sign * x[1]), order, normalization)
     h2pow = _float_powers(h[0], order)
     level = [list(map(mul, blade, h2pow)) for blade in zip(*map(entries, base_values))]
@@ -572,12 +527,10 @@ def _partial_sum(x, h, order: int, sign: int, normalization: str, entries, split
             upper = zip(*[times_u(r, x, 1.0, v) for v in zip(*level)])
             level = ([_sums(a, 0, hpow, column) for column in level]
                      + [_sums(b, 1, hpow, column) for column in upper])
-    total = [reduce(add, column, 0.0) for column in level]
-    if not all(map(cmath.isfinite, total)):
-        raise ValueError(FLOAT_OVERFLOW)
-    return total
+    return [reduce(add, column, 0.0) for column in level]
 
 
+@_float_value
 def gf_harm_partial_sum(m: int, x, h, order: int, sign=+1,
                         normalization: str = FACTORIAL) -> complex:
     """Float partial sum of the generating series over |k| <= order."""

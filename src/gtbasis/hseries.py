@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import _Immutable, _integer, _json_reader
+from .errors import _at_least, _Immutable, _integer, _json_reader, _rational
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _check_space, radius_squared
 from .scalars import binom_frac
 
@@ -32,11 +32,7 @@ class HSeries(_Immutable):
     __slots__ = ("m", "order", "ring", "terms")
 
     def __init__(self, m: int, order: int, ring: str = GAUSSIAN, terms: dict | None = None):
-        m, order = _integer(m, "series dimension"), _integer(order, "order")
-        if m < 2:
-            raise ValueError("series dimension must be at least 2")
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        m, order = _at_least(m, "series dimension", 2), _at_least(order, "order", 0)
         _check_space(m, ring)
         clean = {}
         for k, poly in (terms or {}).items():
@@ -115,8 +111,16 @@ class HSeries(_Immutable):
 
     @_json_reader
     def from_json(cls, data: dict) -> "HSeries":
-        terms = {tuple(entry["k"]): MPoly.from_json(entry["poly"])
-                 for entry in data["terms"]}
+        terms = {}
+        for entry in data["terms"]:
+            k = tuple(entry["k"])
+            if k in terms:
+                raise ValueError(f"malformed {cls.__name__} document: the term at h^{k} "
+                                 "is listed twice")
+            if sum(k) > data["order"]:
+                raise ValueError(f"malformed {cls.__name__} document: the term at h^{k} "
+                                 f"is beyond the order {data['order']}")
+            terms[k] = MPoly.from_json(entry["poly"])
         default = next(iter(terms.values())).ring if terms else GAUSSIAN
         return cls(data["m"], data["order"], data.get("ring", default), terms)
 
@@ -140,7 +144,7 @@ def _binomial_coeffs(alpha: Fraction, c1: MPoly, c2: MPoly, order: int) -> list[
         powers.append(nxt)
     coeffs = [MPoly.zero(c1.dim, c1.ring) for _ in range(order + 1)]
     for n, power in enumerate(powers):
-        cn = binom_frac(Fraction(alpha), n)
+        cn = binom_frac(alpha, n)
         if cn == 0:
             continue
         for hdeg, poly in power.items():
@@ -155,12 +159,11 @@ def binomial_expand(alpha, c1: MPoly, c2: MPoly, var: int, order: int) -> HSerie
     what makes the generalized binomial series exact term by term: alpha is an
     int or a Fraction, and anything else is a ValueError.
     """
-    if not isinstance(alpha, (int, Fraction)):
-        raise ValueError(f"alpha must be an int or a Fraction, got {alpha!r}")
+    alpha = _rational(alpha, "alpha")
     if c1.dim != c2.dim or c1.ring != c2.ring:
         raise ValueError("c1/c2 dimension or ring mismatch")
     m = c1.dim
-    var, order = _integer(var, "the h variable index"), _integer(order, "order")
+    var, order = _integer(var, "the h variable index"), _at_least(order, "order", 0)
     if not 2 <= var <= m:
         raise ValueError(f"h variable index {var} out of range 2..{m}")
     terms = {}

@@ -25,18 +25,17 @@ are even, so M_m lies in R+_{0,m}: a float value lists the 2^(r-1) even blades o
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .clifford import E12, Multivector, blade_product
-from .errors import _integer
-from .harmonics import (FACTORIAL, FLOAT_OVERFLOW, PLAIN, DomainBox, _base2, _base2_value,
-                        _basis_product, _check_norm, _check_point,
-                        _closed_form, _dimension, _factor_label, _gf_series, _Index, _kernel_m3,
-                        _partial_sum, embedding_F, embedding_f_value, iter_multi_indices)
+from .errors import _float_value, _integer
+from .harmonics import (FACTORIAL, PLAIN, DomainBox, _base2, _base2_value, _basis_product,
+                        _check_norm, _check_point, _closed_form, _descend, _dimension,
+                        _factor_label, _gf_series, _Index, _partial_sum, embedding_F,
+                        embedding_f_value, iter_multi_indices)
 from .hseries import HSeries, _underline_x_em
 from .mvpoly import CLIFFORD, MPoly
 
@@ -110,6 +109,7 @@ def _u_times(r: int, x, s: float, v) -> list:
     return out
 
 
+@_float_value
 def gf_mon_closed(m: int, x, h, normalization: str = FACTORIAL,
                   unsafe_domain: bool = False) -> Multivector:
     """Closed-form value of the monogenic generating function (float multivector).
@@ -127,27 +127,22 @@ def gf_mon_closed(m: int, x, h, normalization: str = FACTORIAL,
     for r, _, hr in reversed(levels):
         a = 1.0 - x[r - 1] * hr
         value = [a * t for t in value] + _u_times(r, x, hr, value)
-    if not all(map(math.isfinite, value)):
-        raise ValueError(FLOAT_OVERFLOW)
     return Multivector(m, dict(zip(_even_blades(len(x)), value)))
 
 
+@_float_value
 def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
                      unsafe_domain: bool = False) -> Multivector:
     """Literal m = 3 closed formula (1 + x h_3 e_3) d^(-3/2) exp((x_1 - e_12 x_2) h_2 / d)."""
     _check_norm(normalization)
-    (x1, x2, x3), (h2, h3), d = _kernel_m3(x, h, unsafe_domain)
+    x, h = _check_point(3, x, h, unsafe_domain)
+    [(_, d, _)], _ = _descend(x, h)
+    (x1, x2, x3), (h2, h3) = x, h
     prefactor = Multivector(3, {0: 1.0 - x3 * h3,
                                 0b101: x1 * h3,
                                 0b110: x2 * h3})
-    try:
-        base = _base2_value(x1, x2, h2 / d, -1, normalization)
-        value = prefactor * Multivector(3, {0: base.real, E12: base.imag}).scale(d ** -1.5)
-    except OverflowError as exc:
-        raise ValueError(FLOAT_OVERFLOW) from exc
-    if not all(map(math.isfinite, value.terms.values())):
-        raise ValueError(FLOAT_OVERFLOW)
-    return value
+    base = _base2_value(x1, x2, h2 / d, -1, normalization)
+    return prefactor * Multivector(3, {0: base.real, E12: base.imag}).scale(d ** -1.5)
 
 
 def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries:
@@ -156,6 +151,7 @@ def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries
     return _gf_series(_base2(-1, CLIFFORD), m, order, normalization)
 
 
+@_float_value
 def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:
     """Float value of X^(k)_{m,j} at a point, inside R_{0,top}.
 
@@ -172,8 +168,6 @@ def embedding_x_value(m: int, top: int, j: int, k: int, x) -> Multivector:
     terms = {0: scale * f0}
     for i in range(1, m):
         terms[(1 << (i - 1)) | em] = f1 * float(x[i - 1])
-    if not all(map(math.isfinite, terms.values())):
-        raise ValueError(FLOAT_OVERFLOW)
     return Multivector(top, terms)
 
 
@@ -191,6 +185,7 @@ def _x_split(r: int, f: list) -> tuple:
     return a, [row[:-1] for row in f]
 
 
+@_float_value
 def gf_mon_partial_sum(m: int, x, h, order: int,
                        normalization: str = FACTORIAL) -> Multivector:
     """Float partial sum of the monogenic generating series over |k| <= order."""

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import add
 
 from .clifford import E12, Multivector, blade_sign, conjugation_sign
-from .errors import _Immutable, _integer, _json_reader
+from .errors import _at_least, _Immutable, _integer, _json_reader
 from .scalars import GaussianRational, make_gaussian
 
 GAUSSIAN = "gaussian"
@@ -38,9 +38,7 @@ _EXACT = (int, Fraction, GaussianRational)
 
 def _check_space(dim: int, ring: str) -> int:
     """dim as an int; a non-integral or non-positive dimension or an unknown ring is a ValueError."""
-    dim = _integer(dim, "the dimension")
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
+    dim = _at_least(dim, "the dimension", 1)
     if ring not in _RINGS:
         raise ValueError(f"unknown ring {ring!r}")
     return dim
@@ -432,9 +430,7 @@ class MPoly(_Immutable):
 
     def embed(self, dim: int) -> "MPoly":
         """View as a polynomial in more variables (new exponents zero, blades unchanged)."""
-        dim = _integer(dim, "the dimension")
-        if dim < self.dim:
-            raise ValueError("cannot embed into fewer variables")
+        dim = _at_least(dim, "the dimension", self.dim)
         if dim == self.dim:
             return self
         pad = (0,) * (dim - self.dim)
@@ -520,10 +516,14 @@ class MPoly(_Immutable):
             if not 0 <= blade < (1 << dim) or (blade and ring != CLIFFORD):
                 raise ValueError(f"bad blade {blade} for the {ring} ring in dim {dim}")
             exps = _check_exps(entry["exp"], dim)
+            if (exps, blade) in acc:
+                raise ValueError(f"malformed {cls.__name__} document: the term at exponents "
+                                 f"{exps} and blade {blade} is listed twice")
             coeff = make_gaussian(Fraction(entry["num"], entry["den"]),
                                   Fraction(entry.get("inum", 0), entry.get("iden", 1)))
-            for part, c in _blades(coeff, dim, ring):  # blade or part is 0
-                _accumulate(acc, (exps, blade | part), c)
+            # blade or part is 0, and part 0 always comes: it marks (exps, blade) as read
+            for part, c in _blades(coeff, dim, ring):
+                acc[exps, blade | part] = c
         return cls._make(dim, ring, acc)
 
 

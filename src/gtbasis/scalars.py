@@ -14,12 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import _Immutable, _integer, _json_reader
-
-
-def _fraction(value) -> Fraction:
-    """value as a Fraction, converted only when it is not one already."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+from .errors import _at_least, _Immutable, _integer, _json_reader, _rational
 
 
 def _as_pair(value):
@@ -27,14 +22,17 @@ def _as_pair(value):
     if isinstance(value, GaussianRational):
         return value.re, value.im
     if isinstance(value, (int, Fraction)):
-        return _fraction(value), Fraction(0)
+        return _rational(value, "a scalar"), Fraction(0)
     return None
 
 
 def make_gaussian(re, im=0):
-    """Canonical exact complex scalar: Fraction when im == 0, else GaussianRational."""
-    re = _fraction(re)
-    im = _fraction(im)
+    """Canonical exact complex scalar: Fraction when im == 0, else GaussianRational.
+
+    re and im are ints or Fractions; anything else (a float too) is a ValueError.
+    """
+    re = _rational(re, "the real part")
+    im = _rational(im, "the imaginary part")
     if im == 0:
         return re
     return GaussianRational(re, im)
@@ -46,8 +44,8 @@ class GaussianRational(_Immutable):
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        object.__setattr__(self, "re", _fraction(re))
-        object.__setattr__(self, "im", _fraction(im))
+        object.__setattr__(self, "re", _rational(re, "the real part"))
+        object.__setattr__(self, "im", _rational(im, "the imaginary part"))
 
     def conjugate(self):
         return make_gaussian(self.re, -self.im)
@@ -171,9 +169,7 @@ def format_gaussian(value) -> str:
 @lru_cache(maxsize=None, typed=True)  # typed: n = 2.0 is refused on a warm cache too
 def binom_frac(alpha: Fraction, n: int) -> Fraction:
     """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-n+1)/n!."""
-    n = _integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _at_least(n, "n", 0)
     num = Fraction(1)
     for i in range(n):
         num *= alpha - i

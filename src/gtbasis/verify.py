@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 
-from .errors import _integer
+from .errors import _at_least
 from .gegenbauer import gegenbauer_poly, gf_value, series_oracle
 from .harmonics import (FACTORIAL, PLAIN, BasisIndex, DomainBox, _base2, _sum_squares,
                         embedding_F, enumerate_harm_indices, gf_harm_closed,
@@ -419,12 +419,8 @@ def run_verify(suites=("all",), m_max: int = DEFAULT.m_max, deg_max: int = DEFAU
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)} "
                          f"(choose from all, {', '.join(SUITES)})")
-    m_max, deg_max, order, seed = (_integer(v, n) for v, n in zip(
-        (m_max, deg_max, order, seed), ("m_max", "deg_max", "order", "seed")))
-    for name, value, low in (("m_max", m_max, 2), ("deg_max", deg_max, 0),
-                             ("order", order, 0), ("seed", seed, 0)):
-        if value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
+    m_max, deg_max, order, seed = (_at_least(v, n, low) for v, n, low in (
+        (m_max, "m_max", 2), (deg_max, "deg_max", 0), (order, "order", 0), (seed, "seed", 0)))
     checks = build_checks(selected, m_max, deg_max, order)
     timings: dict = {}
     t0 = time.perf_counter()

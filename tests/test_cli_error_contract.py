@@ -105,5 +105,5 @@ def test_value_error_exits_2_for_every_command(argv):
 def test_basis_below_dimension_two_exits_2(kind, m):
     code, stdout, stderr = _run(["basis", "--kind", kind, "--m", m, "--k", "1"])
     assert (code, stdout) == (2, "")
-    assert stderr == "error: dimension must be at least 2\n"
+    assert stderr == f"error: dimension must be at least 2, got {m}\n"
     assert _run(["genfun", "series", "--kind", kind, "--m", m, "--order", "1"])[2] == stderr

@@ -242,3 +242,34 @@ def test_gegenbauer_gf_value_keeps_finite_values():
     assert gf_value(Fraction(1, 2), 0.3, 0.4) == (1.0 - 2.0 * 0.3 * 0.4 + 0.4 * 0.4) ** -0.5
     # an infinite kernel has a power that underflows to zero
     assert gf_value(1, 0.0, 1e200) == 0.0
+
+
+# -- an int coordinate beyond the float range ----------------------------------------
+
+
+# float(10**400) raises OverflowError: each entry point once let it out bare, not as the
+# ValueError (CLI exit 2) of every other value beyond the float range
+_HUGE = 10 ** 400
+_FLOAT_ENTRY_POINTS = {
+    "gf_harm_closed": (lambda x, h: gf_harm_closed(3, x, h), True),
+    "gf_harm_closed_m3": (lambda x, h: gf_harm_closed_m3(x, h), True),
+    "gf_mon_closed": (lambda x, h: gf_mon_closed(3, x, h), True),
+    "gf_mon_closed_m3": (lambda x, h: gf_mon_closed_m3(x, h), True),
+    "gf_harm_partial_sum": (lambda x, h: gf_harm_partial_sum(3, x, h, 3), True),
+    "gf_mon_partial_sum": (lambda x, h: gf_mon_partial_sum(3, x, h, 3), True),
+    "embedding_f_value": (lambda x, h: embedding_f_value(3, 0, 2, x), False),
+    "embedding_x_value": (lambda x, h: embedding_x_value(3, 3, 0, 2, x), False),
+    "gf_value": (lambda x, h: gf_value(1, x[0], h[0]), True),
+}
+
+
+@pytest.mark.parametrize("name, where", [
+    (name, where) for name, (_, reads_h) in _FLOAT_ENTRY_POINTS.items()
+    for where in (("x", "h") if reads_h else ("x",))])
+def test_an_int_beyond_the_float_range_is_a_value_error(name, where):
+    x, h = [0.1, 0.2, 0.3], [0.1, 0.05]
+    (x if where == "x" else h)[0] = _HUGE
+    evaluate, _ = _FLOAT_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match="overflows the float range") as info:
+        evaluate(x, h)
+    assert isinstance(info.value.__cause__, OverflowError)

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, DomainBox, DomainError, HSeries, MonIndex,
-                     MPoly, Multivector, PiScaled,
+from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, DomainBox, DomainError, GaussianRational,
+                     HSeries, MonIndex, MPoly, Multivector, PiScaled, make_gaussian,
                      binom_frac, binomial_expand, blade_name, blade_product, embedding_F,
                      embedding_f_value, embedding_X, embedding_x_value, enumerate_harm_indices,
                      enumerate_mon_indices, gamma_half, gegenbauer_poly, gf_harm_closed,
@@ -115,7 +115,7 @@ def test_gegenbauer_gf_value_rejects_invalid_arguments(nu, t, h):
     (lambda *a: list(iter_multi_indices(*a)), (-1, 2)),
 ])
 def test_negative_parts_are_refused(enumerate_, args):
-    with pytest.raises(ValueError, match="parts must be non-negative"):
+    with pytest.raises(ValueError, match="parts must be at least 0"):
         enumerate_(*args)
 
 
@@ -282,7 +282,7 @@ def test_embedding_factors_refuse_non_integer_labels(evaluate, args, where, bad)
     (embedding_x_value, (3, 3, 0, -1, _X3)),
 ])
 def test_clifford_embedding_factors_need_k_at_least_zero(evaluate, args):
-    with pytest.raises(ValueError, match="k must be >= 0"):
+    with pytest.raises(ValueError, match="k must be at least 0"):
         evaluate(*args)
 
 
@@ -445,8 +445,11 @@ def test_negative_blade_masks_are_refused(make):
         make()
 
 
-# Each of these was a KeyError, a TypeError or a ZeroDivisionError
+# Each of these was a KeyError, a TypeError or a ZeroDivisionError, or (the last three)
+# was read: an order-2 series relabelled order 1 kept 3 of its 6 terms, a repeated h^k
+# kept its last entry and an MPoly term listed twice was read as their sum
 _TERM = {"exp": [0, 0], "num": 1, "den": 1}
+_SERIES, _X1 = gf_mon_series(3, 2).to_json(), MPoly.variable(2, 1).to_json()
 
 
 @pytest.mark.parametrize("read, document", [
@@ -461,9 +464,41 @@ _TERM = {"exp": [0, 0], "num": 1, "den": 1}
     (PiScaled.from_json, {}),
     (PiScaled.from_json, {"q_num": 1, "q_den": 0, "sqrt_pi_pow": 0}),
     (PiScaled.from_json, None),
+    (HSeries.from_json, {**_SERIES, "order": 1}),
+    (HSeries.from_json, {**_SERIES, "terms": _SERIES["terms"] + _SERIES["terms"][-1:]}),
+    (MPoly.from_json, {**_X1, "terms": _X1["terms"] * 2}),
 ], ids=["mpoly-empty", "mpoly-no-num", "mpoly-zero-den", "mpoly-float-blade",
         "mpoly-float-num", "mpoly-list-term", "hseries-empty", "hseries-int-k",
-        "piscaled-empty", "piscaled-zero-den", "piscaled-none"])
+        "piscaled-empty", "piscaled-zero-den", "piscaled-none",
+        "hseries-beyond-order", "hseries-repeated-k", "mpoly-repeated-term"])
 def test_malformed_json_documents_are_refused(read, document):
     with pytest.raises(ValueError, match=f"^malformed {read.__self__.__name__} document: "):
         read(document)
+
+
+# a negative order was an IndexError
+def test_binomial_expand_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be at least 0, got -1"):
+        binomial_expand(Fraction(-1), _C1, _C2, 2, -1)
+
+
+# the exact entry points took a float at its binary value (nu = 0.1 was
+# 3602879701896397/2^55, make_gaussian(2.5) was 5/2) and make_gaussian(inf) raised
+# a bare OverflowError
+@pytest.mark.parametrize("make, what", [
+    (lambda: gegenbauer_poly(0.1, 2), "nu"),
+    (lambda: series_oracle(0.1, 3), "nu"),
+    (lambda: make_gaussian(2.5, 0), "the real part"),
+    (lambda: make_gaussian(math.inf, 0), "the real part"),
+    (lambda: make_gaussian(0, 0.5), "the imaginary part"),
+    (lambda: GaussianRational(math.inf, 1), "the real part"),
+], ids=["gegenbauer-poly", "series-oracle", "gaussian-float", "gaussian-inf",
+        "gaussian-float-im", "gaussian-rational-inf"])
+def test_exact_entry_points_refuse_a_float(make, what):
+    with pytest.raises(ValueError, match=f"^{what} must be an int or a Fraction, got "):
+        make()
+
+
+def test_gf_value_takes_a_float_nu_at_its_binary_value():
+    assert gf_value(0.5, 0.3, 0.4) == gf_value(Fraction(1, 2), 0.3, 0.4)
+    assert gf_value(0.1, 0.3, 0.4) == gf_value(Fraction(0.1), 0.3, 0.4)
