@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .clifford import E12, Multivector, blade_sign, conjugation_sign
 from .errors import _at_least
@@ -91,15 +90,39 @@ def monomial_ball_integral(m: int, alpha) -> PiScaled:
     return _ball_integral_cached(m, alpha)
 
 
-def _classes(poly: MPoly) -> dict:
-    """poly's terms as parity -> blade -> [(exps, numerator)], built once and kept on poly."""
-    if not hasattr(poly, "_parity_classes"):
-        index: dict = {}
+def _index(poly: MPoly) -> tuple:
+    """(poly's own field width, width -> its classes at that width), made once and kept on poly.
+
+    The own width leaves the top bit of every field clear: each of poly's
+    exponents is below 2^(width-1).  At the larger of two operands' own
+    widths every exponent sum of a term pair is below 2^width, so no field
+    carries into the next.
+    """
+    try:
+        return poly._parity_classes
+    except AttributeError:
+        top = max((e for exps, _ in poly.num for e in exps), default=0)
+        index = (top.bit_length() + 1, {})
+        object.__setattr__(poly, "_parity_classes", index)
+        return index
+
+
+def _classes(poly: MPoly, width: int) -> dict:
+    """poly's terms as parity -> blade -> [(packed exps, numerator)], built once per width.
+
+    The packed exps is sum_i exps[i] << (i * width), with width at least
+    poly's own width; an index is only ever read at the width it was built at.
+    """
+    by_width = _index(poly)[1]
+    classes = by_width.get(width)
+    if classes is None:
+        classes = by_width[width] = {}
+        shifts = range(0, poly.dim * width, width)
         for (exps, blade), n in poly.num.items():
             parity = tuple(e & 1 for e in exps)
-            index.setdefault(parity, {}).setdefault(blade, []).append((exps, n))
-        object.__setattr__(poly, "_parity_classes", index)
-    return poly._parity_classes
+            packed = sum(e << s for e, s in zip(exps, shifts))
+            classes.setdefault(parity, {}).setdefault(blade, []).append((packed, n))
+    return classes
 
 
 def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str, scalar_only: bool = False) -> dict:
@@ -111,9 +134,15 @@ def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str, scalar_only: bool 
     by blade once per polynomial (``_classes``), so a sign is read once per
     blade pair; conj is Clifford conjugation, i -> -i on the gaussian e12.
     The caller attaches pi_power(m), the sqrt(pi) power of every nonzero
-    integral in dimension m.  Integer weights conj(na) * nb * sign are summed
-    per (blade, exponent vector), then times N_alpha per (blade, total
-    degree): one fraction per (blade, total degree), one division per blade.
+    integral in dimension m.
+
+    Exponent vectors are packed into ints, one field per variable, at the
+    larger of the two operands' own widths, so the key of a term pair is one
+    int add: the product's blade sits in the bits above the fields.  Integer
+    weights conj(na) * nb * sign are summed per key; only a nonzero weight is
+    unpacked into its exponent vector alpha and multiplied by N_alpha, per
+    (blade, total degree): one fraction per (blade, total degree), one
+    division per blade.
 
     With scalar_only, only the scalar blade is computed: conj(e_A) e_B has a
     scalar part only when A = B.
@@ -125,7 +154,11 @@ def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str, scalar_only: bool 
     if p.dim != q.dim:
         raise ValueError(f"{caller}: dimension mismatch {p.dim} != {q.dim}")
     m = p.dim
-    cp, cq = _classes(p), _classes(q)
+    (wp, by_p), (wq, by_q) = _index(p), _index(q)
+    width = max(wp, wq)
+    cp = by_p.get(width) or _classes(p, width)
+    cq = by_q.get(width) or _classes(q, width)
+    blade_shift = m * width  # the blade sits above every field
     weights: dict = {}
     get = weights.get
     for parity in cp.keys() & cq.keys():
@@ -134,19 +167,25 @@ def _ball_pairing(p: MPoly, q: MPoly, ring: str, caller: str, scalar_only: bool 
             sign = conjugation_sign(ba)
             blade_terms = [(ba, group.get(ba, ()))] if scalar_only else group.items()
             for bb, terms_b in blade_terms:
-                blade = ba ^ bb
+                blade = (ba ^ bb) << blade_shift
                 positive = sign * blade_sign(ba, bb) > 0
                 for ea, na in terms_a:
                     w = na if positive else -na
+                    base = ea + blade
                     for eb, nb in terms_b:
-                        key = (blade, tuple(map(add, ea, eb)))
+                        key = base + eb
                         weights[key] = get(key, 0) + w * nb
+    if not weights:  # no term pair met
+        return {}
     # every alpha here is all-even, as both exponent vectors share a parity
+    mask = (1 << width) - 1
+    shifts = range(0, blade_shift, width)
     sums: dict = {}
-    for (blade, alpha), w in weights.items():
+    for key, w in weights.items():
         if w:
-            key = (blade, sum(alpha))
-            sums[key] = sums.get(key, 0) + w * _moment(alpha)
+            alpha = tuple([key >> s & mask for s in shifts])
+            skey = (key >> blade_shift, sum(alpha))
+            sums[skey] = sums.get(skey, 0) + w * _moment(alpha)
     acc: dict = {}
     for (blade, degree), n in sums.items():
         acc[blade] = acc.get(blade, 0) + n * _degree_scale(m, degree)

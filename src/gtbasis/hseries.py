@@ -38,7 +38,7 @@ class HSeries(_Immutable):
         for k, poly in (terms or {}).items():
             k = _h_index(k, m)
             if sum(k) > order:
-                continue
+                raise ValueError(f"the term at h^{k} is beyond the order {order}")
             if not isinstance(poly, MPoly):
                 raise TypeError("coefficients must be MPoly values")
             if poly.dim != m or poly.ring != ring:

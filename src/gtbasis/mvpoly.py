@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
@@ -73,6 +74,25 @@ def _blades(coeff, dim: int, ring: str):
 
 def _accumulate(acc: dict, key, coeff) -> None:
     acc[key] = acc[key] + coeff if key in acc else coeff
+
+
+@lru_cache(maxsize=1 << 16)
+def _lowered(exps: tuple) -> dict:
+    """i -> (lowered, e) for each variable x_i of degree e >= 1: d/dx_i x^exps = e x^lowered."""
+    return {i: (exps[:i] + (e - 1,) + exps[i + 1:], e) for i, e in enumerate(exps) if e}
+
+
+@lru_cache(maxsize=1 << 16)
+def _lowered_twice(exps: tuple) -> tuple:
+    """(lowered, e(e - 1)) for each x_i of degree e >= 2: d^2/dx_i^2 x^exps = e(e - 1) x^lowered."""
+    return tuple((exps[:i] + (e - 2,) + exps[i + 1:], e * (e - 1))
+                 for i, e in enumerate(exps) if e > 1)
+
+
+@lru_cache(maxsize=1 << 16)
+def _left_generators(dim: int, blade: int) -> tuple:
+    """Entry i: (the blade of e_i e_blade, whether its sign is +1), for e_i in R_{0,dim}."""
+    return tuple((blade ^ 1 << i, blade_sign(1 << i, blade) > 0) for i in range(dim))
 
 
 def _fill(poly, dim: int, ring: str, num: dict, den: int):
@@ -128,7 +148,8 @@ class _FractionTerms(Mapping):
 class MPoly(_Immutable):
     """Immutable sparse polynomial: (exponent tuple, blade) -> integer numerator, over ``den``."""
 
-    # _parity_classes: ballint's index of the terms, set on the first pairing; no method reads it
+    # _parity_classes: ballint's packed index of the terms, set on the first pairing;
+    # no method reads it
     __slots__ = ("dim", "ring", "num", "den", "_parity_classes")
 
     def __init__(self, dim: int, ring: str = GAUSSIAN, terms: dict | None = None):
@@ -329,8 +350,9 @@ class MPoly(_Immutable):
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # the last square would go unused
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -354,9 +376,9 @@ class MPoly(_Immutable):
         i = j - 1
         num = {}
         for (exps, blade), n in self.num.items():
-            e = exps[i]
-            if e:
-                num[exps[:i] + (e - 1,) + exps[i + 1:], blade] = n * e
+            if exps[i]:
+                lowered, e = _lowered(exps)[i]
+                num[lowered, blade] = n * e
         return MPoly._reduced(self.dim, self.ring, num, self.den)
 
     def laplacian(self) -> "MPoly":
@@ -364,24 +386,24 @@ class MPoly(_Immutable):
         acc: dict = {}
         get = acc.get
         for (exps, blade), n in self.num.items():
-            for i, e in enumerate(exps):
-                if e > 1:
-                    key = (exps[:i] + (e - 2,) + exps[i + 1:], blade)
-                    acc[key] = get(key, 0) + n * (e * (e - 1))
+            for lowered, f in _lowered_twice(exps):
+                key = (lowered, blade)
+                acc[key] = get(key, 0) + n * f
         return MPoly._reduced(self.dim, self.ring, acc, self.den)
 
     def dirac(self) -> "MPoly":
         """Apply e_1 d/dx_1 + ... + e_m d/dx_m, generators acting from the left, in one pass."""
         self._require_ring(CLIFFORD, "Dirac operator")
+        dim = self.dim
         acc: dict = {}
         get = acc.get
         for (exps, blade), n in self.num.items():
-            for i, e in enumerate(exps):
-                if e:
-                    ej = 1 << i
-                    key = (exps[:i] + (e - 1,) + exps[i + 1:], blade ^ ej)
-                    acc[key] = get(key, 0) + (n * e if blade_sign(ej, blade) > 0 else -n * e)
-        return MPoly._reduced(self.dim, CLIFFORD, acc, self.den)
+            left = _left_generators(dim, blade)
+            for i, (lowered, e) in _lowered(exps).items():
+                target, positive = left[i]
+                key = (lowered, target)
+                acc[key] = get(key, 0) + (n * e if positive else -n * e)
+        return MPoly._reduced(dim, CLIFFORD, acc, self.den)
 
     # -- evaluation --------------------------------------------------------
 

@@ -90,10 +90,10 @@ def _mixed(ring):
 
 def test_classes_are_built_once_per_polynomial():
     p = _mixed(GAUSSIAN)
-    classes = _classes(p)
-    assert _classes(p) is classes
+    classes = _classes(p, 3)
+    assert _classes(p, 3) is classes
     assert set(classes) == {(0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 0, 1)}
-    assert _classes(MPoly.from_json(p.to_json())) is not classes
+    assert _classes(MPoly.from_json(p.to_json()), 3) is not classes
 
 
 @pytest.mark.parametrize("ring", [GAUSSIAN, CLIFFORD])
@@ -126,7 +126,7 @@ def test_one_polynomial_reused_across_many_pairings_matches_the_reference(ring):
 def test_a_pair_with_no_shared_parity_class_is_the_canonical_zero(pair):
     ring = GAUSSIAN if pair is inner_harm else CLIFFORD
     p, q = MPoly.variable(3, 1, ring), MPoly.constant(3, 5, ring) + MPoly.variable(3, 2, ring)
-    assert _classes(p).keys().isdisjoint(_classes(q))
+    assert _classes(p, 2).keys().isdisjoint(_classes(q, 2))
     for value in (pair(p, q), pair(q, p)):
         assert value == PiScaled.zero()
         assert value.to_json() == PiScaled.zero().to_json()

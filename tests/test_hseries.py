@@ -124,7 +124,8 @@ def test_truncation_consistency():
     base = exp_series(x(2, 1) + x(2, 2).scale(I), 4)
     full = lift_step(base)
     low = {k: p for k, p in full.terms.items() if sum(k) <= 2}
-    assert low == lift_step(HSeries(2, 2, GAUSSIAN, base.terms)).terms
+    truncated = {k: p for k, p in base.terms.items() if sum(k) <= 2}
+    assert low == lift_step(HSeries(2, 2, GAUSSIAN, truncated)).terms
 
 
 def test_lift_keeps_the_order_of_its_series():
@@ -176,6 +177,18 @@ def test_zero_polynomial_refuses_a_bad_space(dim, ring):
 def test_ring_mismatch_rejected():
     with pytest.raises(ValueError):
         HSeries.one(2, 2) * HSeries.one(3, 2)
+
+
+# the constructor dropped such a term without a word: the series had 0 terms
+@pytest.mark.parametrize("ring", [GAUSSIAN, CLIFFORD])
+def test_a_term_beyond_the_order_is_refused_as_the_reader_refuses_it(ring):
+    terms = {(2, 0): const(3, 1, ring)}
+    refusal = r"the term at h\^\(2, 0\) is beyond the order 1"
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        HSeries(3, 1, ring, terms)
+    document = {**HSeries(3, 2, ring, terms).to_json(), "order": 1}
+    with pytest.raises(ValueError, match=f"^malformed HSeries document: {refusal}$"):
+        HSeries.from_json(document)
 
 
 def test_json_round_trip():
