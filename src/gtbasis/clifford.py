@@ -2,9 +2,10 @@
 
 Blades are bitmasks over the generators (bit j-1 set means e_j is present,
 generators kept in ascending order), so a multivector is a sparse map from
-blade mask to coefficient.  Coefficients are either exact (Fraction or
-GaussianRational) or floating point (float/complex); the two modes never mix
-inside one value.
+blade mask to coefficient.  Coefficients are either exact (Fraction; an int
+becomes one) or float; the two modes never mix inside one value.  There is no
+complex coefficient: the imaginary unit of the exact polynomials is the blade
+e12.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import _Immutable, _integer
-from .scalars import GaussianRational, format_gaussian
 
 SCALAR_BLADE = 0
 
@@ -68,13 +68,26 @@ def blade_name(mask: int) -> str:
     return "e" + "".join(str(j + 1) for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-_EXACT = (int, Fraction, GaussianRational)
-_FLOAT = (float, complex)
-_SCALARS = _EXACT + _FLOAT
+_EXACT = (int, Fraction)
+_SCALARS = (*_EXACT, float)
 
 
-def _is_exact(c) -> bool:
-    return isinstance(c, _EXACT)
+def _sum_text(terms) -> str:
+    """Render (coefficient text, name) terms as a sum; name "" marks the constant.
+
+    A coefficient 1 or -1 before a name is elided.  A coefficient is
+    parenthesised when it is itself a sum (it holds a space), or when it has
+    a name and a sign after its first character.  "+ -" folds to "- ".
+    """
+    parts = []
+    for ctxt, name in terms:
+        if name and ctxt in ("1", "-1"):
+            parts.append(ctxt[:-1] + name)
+            continue
+        if " " in ctxt or (name and ("+" in ctxt[1:] or "-" in ctxt[1:])):
+            ctxt = f"({ctxt})"
+        parts.append(f"{ctxt}*{name}" if name else ctxt)
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 class Multivector(_Immutable):
@@ -94,7 +107,7 @@ class Multivector(_Immutable):
             if type(mask) is not int or not 0 <= mask < size:
                 mask = _check_mask(mask, dim)
             # float first: the exact test runs Fraction's ABC isinstance hook
-            if isinstance(coeff, _FLOAT):
+            if isinstance(coeff, float):
                 this_exact = False
             elif isinstance(coeff, _EXACT):
                 this_exact = True
@@ -148,7 +161,7 @@ class Multivector(_Immutable):
         return not self.terms
 
     def is_exact(self) -> bool:
-        return all(_is_exact(c) for c in self.terms.values())
+        return not any(isinstance(c, float) for c in self.terms.values())
 
     def coeff(self, mask: int):
         c = self.terms.get(mask)
@@ -242,20 +255,6 @@ class Multivector(_Immutable):
         return self.to_text()
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mask in sorted(self.terms):
-            coeff = self.terms[mask]
-            ctxt = format_gaussian(coeff) if _is_exact(coeff) else repr(coeff)
-            if mask == 0:
-                parts.append(ctxt)
-            elif ctxt == "1":
-                parts.append(blade_name(mask))
-            elif ctxt == "-1":
-                parts.append(f"-{blade_name(mask)}")
-            else:
-                if "+" in ctxt[1:] or "-" in ctxt[1:]:
-                    ctxt = f"({ctxt})"
-                parts.append(f"{ctxt}*{blade_name(mask)}")
-        return " + ".join(parts).replace("+ -", "- ")
+        """'1/2 - e12' or '1e-05 + (1e-05)*e1': str of each coefficient, blades ascending."""
+        return _sum_text((str(c), blade_name(mask) if mask else "")
+                         for mask, c in sorted(self.terms.items()))

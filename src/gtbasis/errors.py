@@ -1,6 +1,6 @@
 """Exceptions, error texts, the argument gates (integer, bounded integer, exact rational),
-the float-range boundary, the JSON reader guard and the immutable base of the value types,
-shared across modules."""
+the float conversion of an input, the float-range boundary, the JSON reader guard and the
+immutable base of the value types, shared across modules."""
 
 from cmath import isfinite
 from fractions import Fraction
@@ -41,6 +41,15 @@ def _rational(value, what: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
+def _floats(values, what: str) -> list:
+    """values as floats; one beyond the float range (an int of 400 digits, say) is a
+    ValueError that names what, raised from the OverflowError."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise ValueError(f"{what} is beyond the float range") from exc
 
 
 def _float_value(evaluate):

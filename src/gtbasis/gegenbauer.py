@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FLOAT_OVERFLOW, _at_least, _float_value, _rational
+from .errors import FLOAT_OVERFLOW, _at_least, _float_value, _floats, _rational
 from .scalars import binom_frac
 
 
@@ -112,7 +112,8 @@ def gf_value(nu, t: float, h: float) -> float:
     """Closed-form generating function (1 - 2*t*h + h^2)^(-nu) for floats.
 
     nu may also be a finite float, taken at its exact binary value; t and h
-    must be finite.  A kernel or value beyond the float range is a
+    are taken as floats and must be finite (an int beyond the float range is a
+    ValueError naming t or h).  A kernel or value beyond the float range is a
     FLOAT_OVERFLOW ValueError.
     """
     if isinstance(nu, float):
@@ -120,6 +121,7 @@ def gf_value(nu, t: float, h: float) -> float:
             raise ValueError(f"nu must be finite, got {nu}")
         nu = Fraction(nu)
     exponent = -float(_check_nu(nu))
+    (t,), (h,) = _floats([t], "t"), _floats([h], "h")
     if not (math.isfinite(t) and math.isfinite(h)):
         raise ValueError("t and h must be finite")
     base = 1.0 - 2.0 * t * h + h * h

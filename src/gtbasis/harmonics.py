@@ -37,7 +37,7 @@ from operator import add, mul
 
 from .clifford import E12
 from .errors import (FLOAT_OVERFLOW, DomainError, SingularityError, _at_least, _float_value,
-                     _integer)
+                     _floats, _integer)
 from .hseries import HSeries, exp_series, lift_step, power_series
 from .mvpoly import GAUSSIAN, MPoly, radius_squared
 
@@ -276,8 +276,8 @@ def _sum_squares(values) -> float:
 
 def _check_point(m: int, x, h, unsafe_domain: bool):
     m = _dimension(m)
-    x = [float(v) for v in x]
-    h = [float(v) for v in h]
+    x = _floats(x, "a coordinate of x")
+    h = _floats(h, "a coordinate of h")
     if len(x) != m:
         raise ValueError(f"x needs {m} coordinates")
     if len(h) != m - 1:
@@ -418,9 +418,9 @@ def gf_harm_series(m: int, order: int, sign=+1,
 def _f_inputs(m: int, x) -> tuple:
     """(x_m, |x|_m^2) as floats: all that an F row at dimension m reads of the point.
 
-    A coordinate that is not finite is a ValueError, and an |x|_m^2 (_sum_squares)
-    that is not finite a FLOAT_OVERFLOW ValueError."""
-    coords = [float(x[i]) for i in range(m)]
+    A coordinate beyond the float range or not finite is a ValueError, and an
+    |x|_m^2 (_sum_squares) that is not finite a FLOAT_OVERFLOW ValueError."""
+    coords = _floats((x[i] for i in range(m)), "a coordinate of x")
     if not all(map(math.isfinite, coords)):
         raise ValueError("x must be finite")
     r2 = _sum_squares(coords)

@@ -32,7 +32,7 @@ from operator import mul
 
 from .clifford import E12, Multivector, blade_product
 from .errors import _float_value, _integer
-from .harmonics import (FACTORIAL, PLAIN, DomainBox, _base2, _base2_value, _basis_product,
+from .harmonics import (FACTORIAL, _base2, _base2_value, _basis_product,
                         _check_norm, _check_point, _closed_form, _descend, _dimension,
                         _factor_label, _gf_series, _Index, _partial_sum, embedding_F,
                         embedding_f_value, iter_multi_indices)
@@ -196,9 +196,3 @@ def gf_mon_partial_sum(m: int, x, h, order: int,
                          _x_split, _u_times)
     return Multivector(len(x), dict(zip(_even_blades(len(x)), total)))
 
-
-__all__ = [
-    "MonIndex", "DomainBox", "embedding_X", "mon_basis", "enumerate_mon_indices",
-    "gf_mon_closed", "gf_mon_closed_m3", "gf_mon_series", "gf_mon_partial_sum",
-    "embedding_x_value", "FACTORIAL", "PLAIN",
-]

@@ -26,9 +26,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
-from .clifford import E12, Multivector, blade_sign, conjugation_sign
+from .clifford import E12, Multivector, _sum_text, blade_sign, conjugation_sign
 from .errors import _at_least, _Immutable, _integer, _json_reader
-from .scalars import GaussianRational, make_gaussian
+from .scalars import GaussianRational, format_gaussian, make_gaussian
 
 GAUSSIAN = "gaussian"
 CLIFFORD = "clifford"
@@ -61,8 +61,7 @@ def _blades(coeff, dim: int, ring: str):
             raise ValueError(f"coefficient algebra dim {coeff.dim} != {dim}")
         if not coeff.is_exact():
             raise ValueError("polynomial coefficients must be exact")
-        return [(mask, c) for mask, entry in coeff.terms.items()
-                for _, c in _blades(entry, dim, ring)]
+        return coeff.terms.items()
     if not isinstance(coeff, _EXACT):
         raise TypeError("coefficients must be exact scalars or Multivectors")
     if not isinstance(coeff, GaussianRational):
@@ -490,27 +489,12 @@ class MPoly(_Immutable):
         return self.to_text()
 
     def to_text(self) -> str:
-        if not self.num:
-            return "0"
-        parts = []
-        for exps, blades in self._monomials():
-            mono = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps) if e
-            )
-            ctxt = Multivector(self.dim, blades).to_text()
-            if len(blades) > 1 or (mono and 0 in blades
-                                   and ("+" in ctxt[1:] or "-" in ctxt[1:])):
-                ctxt = f"({ctxt})"
-            if not mono:
-                parts.append(ctxt)
-            elif ctxt == "1":
-                parts.append(mono)
-            elif ctxt == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{ctxt}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        """One term per monomial, as '-i - x2 + (1/2+3/4i)*x1' or '-x3 + (1 - 2*e13)*x1'."""
+        gaussian = self.ring == GAUSSIAN
+        return _sum_text(
+            (format_gaussian(blades[0]) if gaussian else Multivector(self.dim, blades).to_text(),
+             "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e))
+            for exps, blades in self._monomials())
 
     def to_json(self) -> dict:
         """{"m", "ring", "terms"}: one entry per term; clifford entries name their blade."""

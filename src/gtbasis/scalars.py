@@ -5,7 +5,8 @@ Real rational values are stored as plain ``Fraction``; a ``GaussianRational``
 is only ever created when the imaginary part is nonzero, so equality and
 serialization have a single canonical form.  Exact polynomials hold
 Fractions only (i is the blade e12 there); a ``GaussianRational`` is what
-they accept and return at their boundary.
+they accept and return at their boundary.  It never meets a float: its
+operators return NotImplemented for one, so the mix is a TypeError.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class GaussianRational(_Immutable):
     def __add__(self, other):
         pair = _as_pair(other)
         if pair is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) + other
             return NotImplemented
         return make_gaussian(self.re + pair[0], self.im + pair[1])
 
@@ -66,19 +65,17 @@ class GaussianRational(_Immutable):
     def __sub__(self, other):
         pair = _as_pair(other)
         if pair is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) - other
             return NotImplemented
         return make_gaussian(self.re - pair[0], self.im - pair[1])
 
     def __rsub__(self, other):
+        if _as_pair(other) is None:
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
         pair = _as_pair(other)
         if pair is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) * other
             return NotImplemented
         a, b = self.re, self.im
         c, d = pair
@@ -89,8 +86,6 @@ class GaussianRational(_Immutable):
     def __truediv__(self, other):
         pair = _as_pair(other)
         if pair is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) / other
             return NotImplemented
         c, d = pair
         n = c * c + d * d
@@ -125,8 +120,6 @@ class GaussianRational(_Immutable):
     def __eq__(self, other):
         pair = _as_pair(other)
         if pair is None:
-            if isinstance(other, complex):
-                return complex(self) == other
             return NotImplemented
         return (self.re, self.im) == pair
 

@@ -155,15 +155,3 @@ def test_mode_mixing_rejected():
 def test_dim_mismatch_rejected():
     with pytest.raises(ValueError):
         Multivector.scalar(2, 1) * Multivector.scalar(3, 1)
-
-
-def test_gaussian_coefficients_complexify_the_algebra():
-    # complex scalars are supported alongside the blades (the complexified
-    # algebra); the generator relations are untouched
-    from gtbasis import make_gaussian
-    i = make_gaussian(0, 1)
-    a = Multivector(2, {0b01: i})           # i*e1
-    assert a * a == Multivector.scalar(2, 1)  # (i e1)^2 = i^2 e1^2 = 1
-    b = Multivector(2, {0: 1, 0b11: i})
-    # (1 + i e12)^2 = 1 + 2i e12 + i^2 e12^2 = 2 + 2i e12
-    assert b * b == Multivector(2, {0: 2, 0b11: make_gaussian(0, 2)})

@@ -247,8 +247,8 @@ def test_gegenbauer_gf_value_keeps_finite_values():
 # -- an int coordinate beyond the float range ----------------------------------------
 
 
-# float(10**400) raises OverflowError: each entry point once let it out bare, not as the
-# ValueError (CLI exit 2) of every other value beyond the float range
+# float(10**400) raises OverflowError before any value is computed: the input, not a
+# value, left the float range, so the ValueError (CLI exit 2) names the argument
 _HUGE = 10 ** 400
 _FLOAT_ENTRY_POINTS = {
     "gf_harm_closed": (lambda x, h: gf_harm_closed(3, x, h), True),
@@ -270,6 +270,8 @@ def test_an_int_beyond_the_float_range_is_a_value_error(name, where):
     x, h = [0.1, 0.2, 0.3], [0.1, 0.05]
     (x if where == "x" else h)[0] = _HUGE
     evaluate, _ = _FLOAT_ENTRY_POINTS[name]
-    with pytest.raises(ValueError, match="overflows the float range") as info:
+    # the message names the argument: gf_value reads x[0] as t
+    named = {"x": "t", "h": "h"}[where] if name == "gf_value" else f"a coordinate of {where}"
+    with pytest.raises(ValueError, match=f"^{named} is beyond the float range$") as info:
         evaluate(x, h)
     assert isinstance(info.value.__cause__, OverflowError)

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: Gaussian rationals and pi-scaled values."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -51,10 +52,14 @@ def test_integer_powers():
     assert z ** 4 == Fraction(-4)
 
 
-def test_mixing_with_floats_degrades_to_complex():
+@pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub, operator.truediv])
+@pytest.mark.parametrize("other", [2.0, 2j])
+def test_a_gaussian_never_mixes_with_a_float(op, other):
     z = make_gaussian(1, 2)
-    assert z * 2.0 == 2 + 4j
-    assert z + 1.0 == 2 + 2j
+    with pytest.raises(TypeError):
+        op(z, other)
+    with pytest.raises(TypeError):
+        op(other, z)
 
 
 def test_generalized_binomial_coefficients():
