@@ -3,9 +3,11 @@
 Blades are bitmasks over the generators (bit j-1 set means e_j is present,
 generators kept in ascending order), so a multivector is a sparse map from
 blade mask to coefficient.  Coefficients are either exact (Fraction; an int
-becomes one) or float; the two modes never mix inside one value.  There is no
-complex coefficient: the imaginary unit of the exact polynomials is the blade
-e12.
+becomes one) or float; the two modes never mix inside one value, and an exact
+operand meeting a float one in arithmetic is a TypeError.  A scalar operand s
+counts as Multivector.scalar(dim, s), and the zero multivector (a zero scalar
+too) meets either mode.  There is no complex coefficient: the imaginary unit
+of the exact polynomials is the blade e12.
 """
 
 from __future__ import annotations
@@ -125,6 +127,16 @@ class Multivector(_Immutable):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of_floats(cls, dim: int, pairs) -> "Multivector":
+        """Trusted constructor from (mask, float) pairs whose masks are valid blades of
+        R_{0,dim}, for the float evaluators: drops 0.0 and -0.0 as __init__ does and
+        keeps NaN and inf, which the evaluators' float-range boundary refuses."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "dim", dim)
+        object.__setattr__(value, "terms", {mask: coeff for mask, coeff in pairs if coeff})
+        return value
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -175,8 +187,11 @@ class Multivector(_Immutable):
     # -- arithmetic --------------------------------------------------------
 
     def _require_same(self, other: "Multivector") -> None:
+        """One dimension, and one mode unless an operand is zero."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch {self.dim} != {other.dim}")
+        if self.terms and other.terms and self.is_exact() != other.is_exact():
+            raise TypeError("an exact and a float multivector do not mix")
 
     def __add__(self, other):
         if not isinstance(other, Multivector):
@@ -228,6 +243,8 @@ class Multivector(_Immutable):
         return NotImplemented
 
     def scale(self, factor):
+        if isinstance(factor, _SCALARS):
+            self._require_same(Multivector.scalar(self.dim, factor))
         return Multivector(self.dim, {m: factor * c for m, c in self.terms.items()})
 
     def conjugate(self) -> "Multivector":

@@ -165,7 +165,10 @@ def _box_bounds(m: int) -> tuple:
 
 def _in_box(m: int, h) -> bool:
     """|h_r| <= (1/2) * 4^(r-m) for r = 3..m; a NaN entry is outside."""
-    return all(abs(v) <= bound for v, bound in zip(h[1:], _box_bounds(m)))
+    for v, bound in zip(h[1:], _box_bounds(m)):
+        if not abs(v) <= bound:
+            return False
+    return True
 
 
 def _factor_label(m, j, k, k_min: int = -1) -> tuple:
@@ -300,13 +303,20 @@ def _descend(x, h):
     rescaled h_2.  An h entry is rescaled by dividing it by the d of each level
     above its own, from r = m down.  A kernel that is not finite (|x|^2 or h_r^2
     overflowed) is a FLOAT_OVERFLOW ValueError.
+
+    |x|_r^2 is read from the running sums |x|_1^2, |x|_2^2, ..., added once left
+    to right: the additions of _sum_squares(x[:r]), in its order.
     """
+    squares, total = [], 0.0
+    for v in x:
+        total += v * v
+        squares.append(total)
     levels, h2 = [], h[0]
     for r in range(len(x), 2, -1):
         hr = h[r - 2]
         for _, above, _ in levels:
             hr /= above
-        d = 1.0 - 2.0 * x[r - 1] * hr + hr * hr * _sum_squares(x[:r])
+        d = 1.0 - 2.0 * x[r - 1] * hr + hr * hr * squares[r - 1]
         if not math.isfinite(d):
             raise ValueError(FLOAT_OVERFLOW)
         if d <= 0.0:

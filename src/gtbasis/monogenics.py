@@ -20,7 +20,10 @@ the harmonic descent with the power d_m^(-m/2) and the base sign -1 (e12 read
 as i), then applies the prefactors.  Each prefactor and each Clifford
 embedding factor X = a + b*U_r of the partial sums multiplies by
 U_r = sum_{i<r} x_i e_i e_r through one kernel, _u_times.  The base and every U_r
-are even, so M_m lies in R+_{0,m}: a float value lists the 2^(r-1) even blades of R_{0,r}.
+are even, so M_m lies in R+_{0,m}: a float value lists the 2^(r-1) even blades of R_{0,r},
+and becomes a Multivector through the trusted Multivector._of_floats.  The literal
+m = 3 formula writes its one prefactor product out on the four even blades of R_{0,3},
+apart from _u_times and _closed_form, so it checks both from outside.
 """
 
 from __future__ import annotations
@@ -87,9 +90,10 @@ def _even_blades(r: int) -> tuple:
 @lru_cache(maxsize=None)
 def _u_blades(r: int) -> tuple:
     """For each i < r, the pairs (sign, source >> 1) with e_i e_r * e_source = sign * e_target
-    for the even targets of R_{0,r} holding e_r: source >> 1 is the position in R+_{0,r-1}."""
+    for the even targets of R_{0,r} holding e_r: source >> 1 is the position in R+_{0,r-1}.
+    The sign is the float +1.0 or -1.0, by which a float product is exact."""
     targets = _even_blades(r)[1 << (r - 2):]
-    return tuple(tuple((blade_product(u, t ^ u, r)[0], (t ^ u) >> 1) for t in targets)
+    return tuple(tuple((float(blade_product(u, t ^ u, r)[0]), (t ^ u) >> 1) for t in targets)
                  for u in ((1 << i) | (1 << (r - 1)) for i in range(r - 1)))
 
 
@@ -127,22 +131,29 @@ def gf_mon_closed(m: int, x, h, normalization: str = FACTORIAL,
     for r, _, hr in reversed(levels):
         a = 1.0 - x[r - 1] * hr
         value = [a * t for t in value] + _u_times(r, x, hr, value)
-    return Multivector(m, dict(zip(_even_blades(len(x)), value)))
+    return Multivector._of_floats(len(x), zip(_even_blades(len(x)), value))
 
 
 @_float_value
 def gf_mon_closed_m3(x, h, normalization: str = FACTORIAL,
                      unsafe_domain: bool = False) -> Multivector:
-    """Literal m = 3 closed formula (1 + x h_3 e_3) d^(-3/2) exp((x_1 - e_12 x_2) h_2 / d)."""
+    """Literal m = 3 closed formula (1 + x h_3 e_3) d^(-3/2) exp((x_1 - e_12 x_2) h_2 / d).
+
+    With the prefactor p0 + p1*e13 + p2*e23 (p0 = 1 - x_3 h_3, p1 = x_1 h_3,
+    p2 = x_2 h_3) and the scaled base a + b*e12, the product is written out on
+    its four even blades: e13 e12 = -e23 and e23 e12 = e13.  It runs neither
+    _u_times nor _closed_form, so it is an independent check of both.
+    """
     _check_norm(normalization)
     x, h = _check_point(3, x, h, unsafe_domain)
     [(_, d, _)], _ = _descend(x, h)
     (x1, x2, x3), (h2, h3) = x, h
-    prefactor = Multivector(3, {0: 1.0 - x3 * h3,
-                                0b101: x1 * h3,
-                                0b110: x2 * h3})
     base = _base2_value(x1, x2, h2 / d, -1, normalization)
-    return prefactor * Multivector(3, {0: base.real, E12: base.imag}).scale(d ** -1.5)
+    scale = d ** -1.5
+    a, b = scale * base.real, scale * base.imag
+    p0, p1, p2 = 1.0 - x3 * h3, x1 * h3, x2 * h3
+    return Multivector._of_floats(3, ((0, p0 * a), (E12, p0 * b),
+                                      (0b101, p1 * a + p2 * b), (0b110, -(p1 * b) + p2 * a)))
 
 
 def gf_mon_series(m: int, order: int, normalization: str = FACTORIAL) -> HSeries:
@@ -194,5 +205,5 @@ def gf_mon_partial_sum(m: int, x, h, order: int,
     # x_1 - e_12 x_2 spans a copy of C (e_12^2 = -1), so its powers are complex ones.
     total = _partial_sum(x, h, order, -1, normalization, lambda z: [z.real, z.imag],
                          _x_split, _u_times)
-    return Multivector(len(x), dict(zip(_even_blades(len(x)), total)))
+    return Multivector._of_floats(len(x), zip(_even_blades(len(x)), total))
 

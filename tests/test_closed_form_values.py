@@ -7,6 +7,7 @@ bits of the sparse formula it replaced, copied below: each prefactor
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -124,10 +125,47 @@ def test_multivector_coerces_ints_and_drops_zeros():
         Multivector(2, {4: 1.0})
 
 
+EXACT_VALUES = [Multivector(2, {0: 1}), Multivector(2, {1: 1}), Multivector(2, {0: 1, 1: 1}),
+                Multivector(2, {1: 1, 2: 3})]
+FLOAT_VALUES = [Multivector(2, {0: 0.5}), Multivector(2, {3: 0.5}), Multivector(2, {1: 1.0, 2: 3.0})]
+
+
+# the kind of each operand decides, whichever blades it holds (the scalar blade too)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("exact", EXACT_VALUES)
+@pytest.mark.parametrize("other", [0.5, -2.0, *FLOAT_VALUES])
+def test_an_exact_multivector_never_mixes_with_a_float(op, exact, other):
+    with pytest.raises(TypeError, match="do not mix"):
+        op(exact, other)
+    with pytest.raises(TypeError, match="do not mix"):
+        op(other, exact)
+
+
+def test_an_exact_multivector_never_scales_by_a_float():
+    with pytest.raises(TypeError, match="do not mix"):
+        Multivector(2, {1: 1, 2: 3}).scale(0.5)
+    with pytest.raises(TypeError, match="do not mix"):
+        Multivector(2, {1: 1.0}).scale(Fraction(1, 2))
+
+
+# a zero scalar is the zero multivector, so sum() of float values starts from 0
+@pytest.mark.parametrize("value", EXACT_VALUES + FLOAT_VALUES)
+def test_the_zero_multivector_meets_either_mode(value):
+    zero = Multivector.zero(2)
+    assert value + zero == value == zero + value
+    assert value - zero == value and zero - value == -value
+    assert (value * zero).is_zero() and (zero * value).is_zero()
+    assert value + 0 == value == 0 + value
+    assert value + 0.0 == value
+    assert sum([value, value]) == value + value
+    assert (value * 0).is_zero() and (0.0 * value).is_zero()
+
+
 def test_multivector_operators_with_scalars():
     e1 = Multivector.basis_vector(2, 1)
     assert e1 * 2 == Multivector(2, {1: 2})
-    assert 0.5 * e1 == Multivector(2, {1: 0.5})
+    assert Fraction(1, 2) * e1 == Multivector(2, {1: Fraction(1, 2)})
+    assert 0.5 * Multivector(2, {1: 1.0}) == Multivector(2, {1: 0.5})
     assert (e1 + 1) - 1 == e1
     assert e1 * e1 == -1
     assert (e1 == "e1") is False

@@ -25,8 +25,8 @@ import pytest
 
 from gtbasis import (FACTORIAL, PLAIN, DomainBox, Multivector, blade_product, embedding_f_value,
                      embedding_x_value, gf_harm_closed, gf_harm_partial_sum, gf_mon_closed,
-                     gf_mon_partial_sum, iter_multi_indices)
-from gtbasis.harmonics import _closed_form, _f_diagonals
+                     gf_mon_closed_m3, gf_mon_partial_sum, iter_multi_indices)
+from gtbasis.harmonics import _base2_value, _closed_form, _descend, _f_diagonals
 from gtbasis.verify import GF_TOL
 
 E12 = 0b11
@@ -271,6 +271,70 @@ def test_mon_closed_is_bit_identical_to_the_full_width_loop(m, norm):
         expected = dense_mon_closed(m, x, h, norm)
         assert value.dim == expected.dim == m
         assert value.terms == expected.terms
+
+
+def per_level_descend(x, h):
+    """The d_r descent with |x|_r^2 summed afresh at each level r."""
+    levels, h2 = [], h[0]
+    for r in range(len(x), 2, -1):
+        hr = h[r - 2]
+        for _, above, _ in levels:
+            hr /= above
+        r2 = 0.0
+        for v in x[:r]:
+            r2 += v * v
+        d = 1.0 - 2.0 * x[r - 1] * hr + hr * hr * r2
+        levels.append((r, d, hr))
+        h2 /= d
+    return levels, h2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_descend_is_bit_identical_to_the_per_level_sums(m):
+    for x, h in _seeded_points(m, FACTORIAL, 40):
+        assert repr(_descend(x, h)) == repr(per_level_descend(x, h))
+
+
+def product_mon_closed_m3(x, h, norm):
+    """The m = 3 formula as the sparse product of the prefactor and the scaled base."""
+    (x1, x2, x3), (h2, h3) = x, h
+    [(_, d, _)], _ = per_level_descend(x, h)
+    prefactor = Multivector(3, {0: 1.0 - x3 * h3, 0b101: x1 * h3, 0b110: x2 * h3})
+    base = _base2_value(x1, x2, h2 / d, -1, norm)
+    return prefactor * Multivector(3, {0: base.real, E12: base.imag}).scale(d ** -1.5)
+
+
+def _signed_zeros_points(count):
+    """Seeded points of the m = 3 domain; about a third of the x and h entries are 0.0 or -0.0."""
+    rng = random.Random("m3-product")
+
+    def entry(bound):
+        return rng.choice([0.0, -0.0, rng.uniform(-bound, bound)])
+    points = []
+    while len(points) < count:
+        x = [entry(1.0) for _ in range(3)]
+        if sum(v * v for v in x) <= 1.0:
+            points.append((x, [entry(0.5), entry(0.5)]))
+    return points
+
+
+@pytest.mark.parametrize("norm", [FACTORIAL, PLAIN])
+def test_mon_closed_m3_is_bit_identical_to_the_sparse_product(norm):
+    for x, h in _signed_zeros_points(400):
+        value = gf_mon_closed_m3(x, h, norm)
+        expected = product_mon_closed_m3(x, h, norm)
+        assert value.dim == expected.dim == 3
+        assert repr(value) == repr(expected)
+
+
+def test_the_trusted_float_constructor_drops_zeros_and_keeps_nan_and_inf():
+    pairs = [(0, 0.0), (0b11, -0.0), (0b101, 1.5), (0b110, -math.inf), (0b1001, math.nan)]
+    value = Multivector._of_floats(4, pairs)
+    assert value.dim == 4
+    assert sorted(value.terms) == [0b101, 0b110, 0b1001]
+    assert value.terms[0b101] == 1.5 and value.terms[0b110] == -math.inf
+    assert math.isnan(value.terms[0b1001])
+    assert repr(value) == repr(Multivector(4, dict(pairs)))
 
 
 def _per_row_f_table(m, order, x):

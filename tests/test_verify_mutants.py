@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from gtbasis import ballint, gegenbauer, verify
+from gtbasis import Multivector, ballint, gegenbauer, harmonics, monogenics, verify
 
 CHECKS_AT_DEFAULTS = 80
 
@@ -37,6 +37,25 @@ def _top_doubled_at_5(nu, k):
     return replace(poly, coeffs=poly.coeffs[:-1] + (2 * poly.coeffs[-1],))
 
 
+def _wrapped(module, name, after):
+    """Patch module.name to return after(its value)."""
+    original = getattr(module, name)
+    return module, name, lambda *args, **kwargs: after(original(*args, **kwargs))
+
+
+def _u_first_target_negated(only_r=None):
+    """Patch monogenics._u_times to negate the first entry of its result (the first even
+    target), at every r or at r = only_r."""
+    original = monogenics._u_times
+
+    def u_times(r, x, s, v):
+        out = original(r, x, s, v)
+        if only_r in (None, r):
+            out[0] = -out[0]
+        return out
+    return monogenics, "_u_times", u_times
+
+
 # name -> () -> (module, attribute, replacement); built lazily, after the caches are cleared
 MUTANTS = {
     # the rational scale S(m, d) of every all-even monomial integral
@@ -55,6 +74,21 @@ MUTANTS = {
         lambda: _scaled(verify, "gf_value", lambda nu, t, h: 1 + 1e-9),
     "verify.gegenbauer_poly top coefficient doubled at k = 5":
         lambda: (verify, "gegenbauer_poly", _top_doubled_at_5),
+    # the float closed forms and partial sums; the closed form and the sums share _u_times
+    "monogenics._u_times first target negated": _u_first_target_negated,
+    "monogenics._u_times first target negated at r = 4":
+        lambda: _u_first_target_negated(only_r=4),
+    "monogenics._x_split b doubled":
+        lambda: _wrapped(monogenics, "_x_split",
+                         lambda ab: (ab[0], [[2.0 * c for c in row] for row in ab[1]])),
+    "harmonics._descend every d * (1 + 1e-9)":
+        lambda: _wrapped(harmonics, "_descend", lambda out: (
+            [(r, d * (1 + 1e-9), hr) for r, d, hr in out[0]], out[1])),
+    "harmonics._base2_value conjugated":
+        lambda: _wrapped(harmonics, "_base2_value", lambda z: z.conjugate()),
+    "verify.gf_mon_closed_m3 e23 part negated":
+        lambda: _wrapped(verify, "gf_mon_closed_m3", lambda v: Multivector(
+            3, {**v.terms, 0b110: -v.coeff(0b110)})),
 }
 
 SURVIVORS = {
@@ -62,6 +96,8 @@ SURVIVORS = {
     "ballint.pi_power -> 0",
     "verify.inner_mon doubled",
     "ballint.blade_sign(e1, e2) negated",
+    # only the literal m = 3 formula runs apart from _u_times, and it stops at r = 3
+    "monogenics._u_times first target negated at r = 4",
 }
 
 # mutant -> sorted names of the failing checks, one entry per failing check
@@ -73,6 +109,16 @@ CAUGHT = {
     "verify.gf_value * (1 + 1e-9)": ["gf.gegenbauer_closed_vs_partial"],
     "verify.gegenbauer_poly top coefficient doubled at k = 5":
         ["gf.gegenbauer_closed_vs_partial", "lemmas.gegenbauer_recurrence_vs_oracle"],
+    "monogenics._u_times first target negated": ["gf.mon_m3_closed_formula"] * 2,
+    "monogenics._x_split b doubled":
+        ["gf.mon_closed_vs_series"] * 4 + ["gf.mon_m3_closed_formula"] * 2,
+    "harmonics._descend every d * (1 + 1e-9)":
+        ["gf.harm_m3_closed_formula"] * 4 + ["gf.harm_recurrence_step"] * 4
+        + ["gf.mon_m3_closed_formula"] * 2,
+    "harmonics._base2_value conjugated":
+        ["gf.harm_closed_vs_series"] * 6 + ["gf.harm_m3_closed_formula"] * 4
+        + ["gf.mon_closed_vs_series"] * 6 + ["gf.mon_m3_closed_formula"] * 2,
+    "verify.gf_mon_closed_m3 e23 part negated": ["gf.mon_m3_closed_formula"] * 2,
 }
 
 
