@@ -256,7 +256,7 @@ class Multivector(_Immutable):
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
-            if isinstance(other, _EXACT):
+            if isinstance(other, _SCALARS):
                 other = Multivector.scalar(self.dim, other)
             else:
                 return NotImplemented

@@ -62,13 +62,19 @@ def _check_norm(normalization: str) -> str:
 
 
 def iter_multi_indices(parts: int, total: int):
-    """All tuples of `parts` non-negative ints with sum <= total, lexicographic."""
-    parts, total = _at_least(parts, "parts", 0), _integer(total, "total")
+    """All tuples of `parts` non-negative ints with sum <= total, lexicographic.
+
+    The arguments are checked at the call, before the first tuple is asked for.
+    """
+    return _multi_indices(_at_least(parts, "parts", 0), _integer(total, "total"))
+
+
+def _multi_indices(parts: int, total: int):
     if parts == 0:
         yield ()
         return
     for first in range(total + 1):
-        for rest in iter_multi_indices(parts - 1, total - first):
+        for rest in _multi_indices(parts - 1, total - first):
             yield (first,) + rest
 
 
@@ -98,10 +104,6 @@ class _Index:
 
     def degree(self) -> int:
         return sum(self.k)
-
-    def kstar(self, r: int) -> int:
-        """Partial sum k_2 + ... + k_r."""
-        return sum(self.k[: r - 1])
 
 
 @dataclass(frozen=True)
@@ -225,26 +227,45 @@ def _base2(sign: int, ring: str) -> MPoly:
     return MPoly._make(2, ring, {((1, 0), 0): Fraction(1), ((0, 1), E12): Fraction(sign)})
 
 
-def _basis_product(idx, base: MPoly, factor) -> MPoly:
-    """Basis polynomial of idx: factor_m * ... * factor_3 * base^{k_2}.
+@lru_cache(maxsize=None)
+def _chain(sign: int, ring: str, factor, k: tuple) -> MPoly:
+    """The plain basis polynomial of the label prefix k = (k_2..k_r), at dimension r.
 
-    The base power is divided by k_2! in the factorial normalization, and
-    factor(r, k_2 + ... + k_{r-1}, k_r) is the dimension-r embedding factor.
-    Each factor multiplies from the left: the outermost dimension is leftmost.
+    It follows the paper's dimension recursion: chain((k_2,)) = base^{k_2} with
+    base = _base2(sign, ring), and
+
+        chain(k_2..k_r) = factor(r, k_2 + ... + k_{r-1}, k_r) * chain(k_2..k_{r-1}),
+
+    the dimension-r embedding factor multiplied from the left, so the outermost
+    dimension is leftmost.  The cache is keyed on the base's sign and ring, the
+    factor function and the prefix, so labels that share a prefix share its
+    chain and every product is made once.
     """
-    m = idx.m
-    poly = base ** idx.k[0]
+    if len(k) == 1:
+        return _base2(sign, ring) ** k[0]
+    r = len(k) + 1
+    return factor(r, sum(k[:-1]), k[-1]) * _chain(sign, ring, factor, k[:-1]).embed(r)
+
+
+def _basis_product(idx, sign: int, ring: str, factor) -> MPoly:
+    """Basis polynomial of idx: factor_m * ... * factor_3 * base^{k_2}, by the dimension
+    recursion of the cached _chain, with factor(r, k_2 + ... + k_{r-1}, k_r) the
+    dimension-r embedding factor.
+
+    The normalization is applied last: the plain basis is the cached chain itself
+    and the factorial one that chain divided by k_2!, so both share one chain.
+    MPoly keeps one canonical form, so the result equals the one of dividing
+    base^{k_2} first, term for term.
+    """
+    poly = _chain(sign, ring, factor, idx.k)
     if idx.normalization == FACTORIAL:
         poly = poly.scale(Fraction(1, math.factorial(idx.k[0])))
-    poly = poly.embed(m)
-    for r in range(3, m + 1):
-        poly = factor(r, idx.kstar(r - 1), idx.k[r - 2]).embed(m) * poly
     return poly
 
 
 def harm_basis(idx: BasisIndex) -> MPoly:
     """The spherical harmonic labelled by idx; homogeneous of degree |k| and harmonic."""
-    return _basis_product(idx, _base2(idx.sign, GAUSSIAN), embedding_F)
+    return _basis_product(idx, idx.sign, GAUSSIAN, embedding_F)
 
 
 def real_basis(idx: BasisIndex) -> tuple[MPoly, MPoly]:

@@ -9,7 +9,7 @@ The basis is built like the harmonic one but with Clifford embedding factors
 base (x_1 - e_12 x_2)^{k_2}/k_2! from the left, outermost dimension leftmost.
 The Clifford product does not commute, so the factor order is part of the
 definition; it is encoded in exactly one place, the left-multiplied product
-`harmonics._basis_product` that `mon_basis` and `harm_basis` share.
+chain `harmonics._chain` that `mon_basis` and `harm_basis` share.
 
 The generating function M_m(x, h) = sum_k mon_k(x) h^k satisfies
 
@@ -68,7 +68,7 @@ def embedding_X(m: int, j: int, k: int) -> MPoly:
 
 def mon_basis(idx: MonIndex) -> MPoly:
     """The spherical monogenic labelled by idx, with the factor order of the definition."""
-    return _basis_product(idx, _base2(-1, CLIFFORD), embedding_X)
+    return _basis_product(idx, -1, CLIFFORD, embedding_X)
 
 
 def enumerate_mon_indices(m: int, deg_max: int,

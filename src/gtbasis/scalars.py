@@ -161,8 +161,11 @@ def format_gaussian(value) -> str:
 
 @lru_cache(maxsize=None, typed=True)  # typed: n = 2.0 is refused on a warm cache too
 def binom_frac(alpha: Fraction, n: int) -> Fraction:
-    """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-n+1)/n!."""
-    n = _at_least(n, "n", 0)
+    """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-n+1)/n!.
+
+    alpha is an int or a Fraction (errors._rational); a float is a ValueError.
+    """
+    alpha, n = _rational(alpha, "alpha"), _at_least(n, "n", 0)
     num = Fraction(1)
     for i in range(n):
         num *= alpha - i

@@ -236,8 +236,9 @@ def _check_gegenbauer_gf_float(rng, order: int, tol: float):
         polys = [gegenbauer_poly(nu, k) for k in range(order + 1)]
         polys = [replace(p, coeffs=tuple(map(float, p.coeffs))) for p in polys]
         for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            values = [p(t) for p in polys]
             for h in (0.25, -0.25, 0.125, -0.125):
-                partial = sum(p(t) * h ** k for k, p in enumerate(polys))
+                partial = sum(v * h ** k for k, v in enumerate(values))
                 closed = gf_value(nu, t, h)
                 if abs(partial - closed) > tol:
                     return False, f"nu={nu} t={t} h={h}: |{partial}-{closed}|"

@@ -152,6 +152,20 @@ def test_mode_mixing_rejected():
         Multivector(2, {0: Fraction(1), 0b1: 0.5})
 
 
+# a float scalar compared unequal (Multivector(2, {0: 0.5}) == 0.5 was False), although
+# the arithmetic lifts every scalar to the scalar multivector
+def test_equality_lifts_every_scalar():
+    assert Multivector(2, {0: 0.5}) == 0.5
+    assert Multivector(2, {0: 1}) == 1.0
+    assert Multivector(2, {0: 1.0}) == 1
+    assert Multivector(2, {0: 1}) == Fraction(1)
+    assert Multivector(2, {}) == 0.0
+    assert Multivector(2, {0: 0.5}) != 0.25
+    assert Multivector(2, {0: 1.0, 1: 1.0}) != 1.0
+    assert Multivector(2, {0: float("nan")}) != float("nan")
+    assert Multivector(2, {0: 1}) != "1"
+
+
 def test_dim_mismatch_rejected():
     with pytest.raises(ValueError):
         Multivector.scalar(2, 1) * Multivector.scalar(3, 1)

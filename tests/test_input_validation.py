@@ -397,6 +397,28 @@ def test_binomial_expand_takes_ints_and_fractions():
     assert half.coefficient((0, 1)) == _C1.scale(Fraction(1, 2))
 
 
+# binom_frac(2.5, 3) returned the float 0.3125 and binom_frac(nan, 3) returned nan
+@pytest.mark.parametrize("alpha", [2.5, 2.0, math.nan, "1/3"],
+                         ids=["float", "integral-float", "nan", "str"])
+def test_binom_frac_refuses_an_inexact_alpha(alpha):
+    binom_frac(Fraction(5, 2), 3)
+    with pytest.raises(ValueError, match="alpha must be an int or a Fraction"):
+        binom_frac(alpha, 3)
+
+
+def test_binom_frac_takes_ints_and_fractions():
+    assert binom_frac(5, 2) == binom_frac(Fraction(5), 2) == 10
+    assert binom_frac(Fraction(5, 2), 3) == Fraction(5, 16)
+
+
+# iter_multi_indices(None, 2) returned a generator and raised at the first next() only
+@pytest.mark.parametrize("parts, total", [(None, 2), (2, None), (-1, 2), (1.5, 2)],
+                         ids=["parts-none", "total-none", "parts-negative", "parts-float"])
+def test_iter_multi_indices_checks_its_arguments_at_the_call(parts, total):
+    with pytest.raises(ValueError):
+        iter_multi_indices(parts, total)
+
+
 @pytest.mark.parametrize("nu", [1, Fraction(7, 3)])
 def test_gegenbauer_poly_refuses_a_float_degree_on_a_warm_cache_too(nu):
     with pytest.raises(ValueError, match="must be an integer"):

@@ -56,6 +56,21 @@ def _u_first_target_negated(only_r=None):
     return monogenics, "_u_times", u_times
 
 
+def _chain_broken(from_right=False, j_includes_k_r=False):
+    """Patch harmonics._chain, the basis recursion, to multiply the factor from the right
+    or to label it with j = k_2 + ... + k_r, which wrongly includes k_r."""
+    original = harmonics._chain
+
+    def chain(sign, ring, factor, k):
+        if len(k) == 1:
+            return original(sign, ring, factor, k)
+        r = len(k) + 1
+        f = factor(r, sum(k) if j_includes_k_r else sum(k[:-1]), k[-1])
+        lower = harmonics._chain(sign, ring, factor, k[:-1]).embed(r)
+        return lower * f if from_right else f * lower
+    return harmonics, "_chain", chain
+
+
 # name -> () -> (module, attribute, replacement); built lazily, after the caches are cleared
 MUTANTS = {
     # the rational scale S(m, d) of every all-even monomial integral
@@ -89,6 +104,10 @@ MUTANTS = {
     "verify.gf_mon_closed_m3 e23 part negated":
         lambda: _wrapped(verify, "gf_mon_closed_m3", lambda v: Multivector(
             3, {**v.terms, 0b110: -v.coeff(0b110)})),
+    # the exact bases: the dimension recursion of harmonics._chain
+    "harmonics._chain factor multiplied from the right":
+        lambda: _chain_broken(from_right=True),
+    "harmonics._chain j includes k_r": lambda: _chain_broken(j_includes_k_r=True),
 }
 
 SURVIVORS = {
@@ -119,11 +138,19 @@ CAUGHT = {
         ["gf.harm_closed_vs_series"] * 6 + ["gf.harm_m3_closed_formula"] * 4
         + ["gf.mon_closed_vs_series"] * 6 + ["gf.mon_m3_closed_formula"] * 2,
     "verify.gf_mon_closed_m3 e23 part negated": ["gf.mon_m3_closed_formula"] * 2,
+    # gaussian-ring products commute, so only the monogenic checks see the order
+    "harmonics._chain factor multiplied from the right":
+        ["extract.mon_series_equals_basis"] * 4 + ["pde.mon_dirac_zero"] * 4,
+    "harmonics._chain j includes k_r":
+        ["extract.harm_series_equals_basis"] * 8 + ["extract.mon_series_equals_basis"] * 4
+        + ["ortho.harm_pairwise"] * 2 + ["ortho.mon_pairwise"]
+        + ["pde.harm_laplacian_zero"] * 4 + ["pde.mon_dirac_zero"] * 4,
 }
 
 
 def _clear_caches():
-    for cached in (ballint._moment, ballint._degree_scale, gegenbauer.gegenbauer_poly):
+    for cached in (ballint._moment, ballint._degree_scale, gegenbauer.gegenbauer_poly,
+                   harmonics._chain):
         cached.cache_clear()
 
 
