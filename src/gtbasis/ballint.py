@@ -30,13 +30,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .clifford import E12, Multivector, blade_sign, conjugation_sign
+from .clifford import Multivector, blade_sign, conjugation_sign
 from .errors import _at_least
-from .mvpoly import CLIFFORD, GAUSSIAN, MPoly
-from .scalars import PiScaled, make_gaussian
-
-__all__ = ["gamma_half", "monomial_ball_integral", "inner_harm", "inner_mon",
-           "inner_mon_full", "pi_power"]
+from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _value
+from .scalars import PiScaled
 
 
 def gamma_half(n: int) -> PiScaled:
@@ -205,7 +202,7 @@ def inner_harm(p: MPoly, q: MPoly) -> PiScaled:
     acc = _ball_pairing(p, q, GAUSSIAN, "inner_harm")
     if not acc:
         return _ZERO
-    return PiScaled(make_gaussian(acc.get(0, 0), acc.get(E12, 0)), pi_power(p.dim))
+    return PiScaled(_value(p.dim, GAUSSIAN, acc), pi_power(p.dim))
 
 
 def inner_mon(p: MPoly, q: MPoly) -> PiScaled:

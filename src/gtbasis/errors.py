@@ -1,7 +1,8 @@
 """Exceptions, error texts, the argument gates (integer, bounded integer, exact rational),
-the float conversion of an input, the float-range boundary, the JSON reader guard and the
-immutable base of the value types, shared across modules."""
+the finite-float conversion of an input, the float-range boundary, the JSON reader guard
+and the immutable base of the value types, shared across modules."""
 
+import math
 from cmath import isfinite
 from fractions import Fraction
 from functools import wraps
@@ -44,12 +45,16 @@ def _rational(value, what: str) -> Fraction:
 
 
 def _floats(values, what: str) -> list:
-    """values as floats; one beyond the float range (an int of 400 digits, say) is a
-    ValueError that names what, raised from the OverflowError."""
+    """values as finite floats; one beyond the float range (an int of 400 digits, say,
+    raised from the OverflowError) or not finite is a ValueError that names what."""
     try:
-        return [float(v) for v in values]
+        out = [float(v) for v in values]
     except OverflowError as exc:
         raise ValueError(f"{what} is beyond the float range") from exc
+    # a nan or an inf makes the sum non-finite; a sum that overflows is read value by value
+    if not (math.isfinite(sum(out)) or all(map(math.isfinite, out))):
+        raise ValueError(f"{what} must be finite")
+    return out
 
 
 def _float_value(evaluate):

@@ -122,8 +122,6 @@ def gf_value(nu, t: float, h: float) -> float:
         nu = Fraction(nu)
     exponent = -float(_check_nu(nu))
     (t,), (h,) = _floats([t], "t"), _floats([h], "h")
-    if not (math.isfinite(t) and math.isfinite(h)):
-        raise ValueError("t and h must be finite")
     base = 1.0 - 2.0 * t * h + h * h
     if math.isnan(base):  # inf - inf: the kernel overflowed
         raise ValueError(FLOAT_OVERFLOW)

@@ -306,8 +306,6 @@ def _check_point(m: int, x, h, unsafe_domain: bool):
         raise ValueError(f"x needs {m} coordinates")
     if len(h) != m - 1:
         raise ValueError(f"h needs {m - 1} coordinates")
-    if not all(map(math.isfinite, x + h)):
-        raise ValueError("x and h must be finite")
     if not unsafe_domain:
         if _sum_squares(x) > 1.0 + 1e-12:
             raise DomainError("point lies outside the closed unit ball")
@@ -452,8 +450,6 @@ def _f_inputs(m: int, x) -> tuple:
     A coordinate beyond the float range or not finite is a ValueError, and an
     |x|_m^2 (_sum_squares) that is not finite a FLOAT_OVERFLOW ValueError."""
     coords = _floats((x[i] for i in range(m)), "a coordinate of x")
-    if not all(map(math.isfinite, coords)):
-        raise ValueError("x must be finite")
     r2 = _sum_squares(coords)
     if not math.isfinite(r2):
         raise ValueError(FLOAT_OVERFLOW)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .clifford import E12, Multivector, blade_product
+from .clifford import E12, Multivector, blade_sign
 from .errors import _float_value, _integer
 from .harmonics import (FACTORIAL, _base2, _base2_value, _basis_product,
                         _check_norm, _check_point, _closed_form, _descend, _dimension,
@@ -93,7 +93,7 @@ def _u_blades(r: int) -> tuple:
     for the even targets of R_{0,r} holding e_r: source >> 1 is the position in R+_{0,r-1}.
     The sign is the float +1.0 or -1.0, by which a float product is exact."""
     targets = _even_blades(r)[1 << (r - 2):]
-    return tuple(tuple((float(blade_product(u, t ^ u, r)[0]), (t ^ u) >> 1) for t in targets)
+    return tuple(tuple((float(blade_sign(u, t ^ u)), (t ^ u) >> 1) for t in targets)
                  for u in ((1 << i) | (1 << (r - 1)) for i in range(r - 1)))
 
 

@@ -28,7 +28,7 @@ from operator import add
 
 from .clifford import E12, Multivector, _sum_text, blade_sign, conjugation_sign
 from .errors import _at_least, _Immutable, _integer, _json_reader
-from .scalars import GaussianRational, format_gaussian, make_gaussian
+from .scalars import GaussianRational, _as_pair, make_gaussian
 
 GAUSSIAN = "gaussian"
 CLIFFORD = "clifford"
@@ -69,6 +69,18 @@ def _blades(coeff, dim: int, ring: str):
     if ring != GAUSSIAN:
         raise TypeError("clifford-ring coefficients must be rational")
     return ((0, coeff.re), (E12, coeff.im))
+
+
+def _value(dim: int, ring: str, blades: dict, zero=Fraction(0)):
+    """The coefficient a {blade: value} map stands for: a Multivector of R_{0,dim} in the
+    clifford ring; in the gaussian one a + b*i, a on blade 0 (zero when absent) and b on E12,
+    exact through make_gaussian, a float or a complex when the values are floats."""
+    if ring == CLIFFORD:
+        return Multivector(dim, blades)
+    re, im = blades.get(0, zero), blades.get(E12)
+    if im is None:
+        return re
+    return complex(re, im) if isinstance(im, float) else make_gaussian(re, im)
 
 
 def _accumulate(acc: dict, key, coeff) -> None:
@@ -231,12 +243,10 @@ class MPoly(_Immutable):
         """Coefficient of x^exps: a Multivector (clifford) or an exact scalar (gaussian)."""
         exps = _check_exps(exps, self.dim)
         num, den = self.num, self.den
-        if self.ring == GAUSSIAN:
-            return make_gaussian(Fraction(num.get((exps, 0), 0), den),
-                                 Fraction(num.get((exps, E12), 0), den))
-        return Multivector(self.dim, {blade: Fraction(num[exps, blade], den)
-                                      for blade in range(1 << self.dim)
-                                      if (exps, blade) in num})
+        # at dim 1, E12 is no blade of R_{0,1}: a gaussian lookup reads blades 0 and E12 only
+        blades = range(1 << self.dim) if self.ring == CLIFFORD else (0, E12)
+        return _value(self.dim, self.ring, {blade: Fraction(num[exps, blade], den)
+                                            for blade in blades if (exps, blade) in num})
 
     def _require_same(self, other: "MPoly") -> None:
         if self.dim != other.dim or self.ring != other.ring:
@@ -247,19 +257,14 @@ class MPoly(_Immutable):
             raise ValueError(f"{what} needs the {ring} ring")
 
     def _monomials(self) -> list:
-        """(exps, {blade: exact scalar}) by total degree, then exponents, then blade.
-
-        Gaussian blades 0 and E12 come back as one scalar on blade 0.
-        """
+        """(exps, coefficient) by total degree, then exponents: a Multivector with its
+        blades ascending (clifford) or an exact scalar (gaussian)."""
         by_monomial: dict = {}
         den = self.den
         for (exps, blade), n in sorted(self.num.items(),
                                        key=lambda kv: (sum(kv[0][0]), kv[0])):
             by_monomial.setdefault(exps, {})[blade] = Fraction(n, den)
-        if self.ring == CLIFFORD:
-            return list(by_monomial.items())
-        return [(exps, {0: make_gaussian(b.get(0, 0), b.get(E12, 0))})
-                for exps, b in by_monomial.items()]
+        return [(exps, _value(self.dim, self.ring, b)) for exps, b in by_monomial.items()]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -440,12 +445,7 @@ class MPoly(_Immutable):
             acc[blade] = acc.get(blade, zero) + (n if exact else n / den) * mono
         if exact:
             acc = {blade: v / den for blade, v in acc.items()}
-        if self.ring == CLIFFORD:
-            return Multivector(self.dim, acc)
-        re, im = acc.get(0, zero), acc.get(E12)
-        if exact:
-            return make_gaussian(re, im or 0)
-        return re if im is None else complex(re, im)
+        return _value(self.dim, self.ring, acc, zero)
 
     # -- ring/shape conversions --------------------------------------------
 
@@ -490,19 +490,18 @@ class MPoly(_Immutable):
 
     def to_text(self) -> str:
         """One term per monomial, as '-i - x2 + (1/2+3/4i)*x1' or '-x3 + (1 - 2*e13)*x1'."""
-        gaussian = self.ring == GAUSSIAN
         return _sum_text(
-            (format_gaussian(blades[0]) if gaussian else Multivector(self.dim, blades).to_text(),
+            (str(value),
              "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e))
-            for exps, blades in self._monomials())
+            for exps, value in self._monomials())
 
     def to_json(self) -> dict:
         """{"m", "ring", "terms"}: one entry per term; clifford entries name their blade."""
         entries = []
-        for exps, blades in self._monomials():
+        for exps, value in self._monomials():
+            blades = value.terms if self.ring == CLIFFORD else {0: value}
             for blade, coeff in blades.items():
-                re, im = (coeff.re, coeff.im) if isinstance(coeff, GaussianRational) \
-                    else (coeff, Fraction(0))
+                re, im = _as_pair(coeff)
                 entry = {"exp": list(exps)}
                 if self.ring == CLIFFORD:
                     entry["blade"] = blade

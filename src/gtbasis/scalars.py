@@ -1,12 +1,13 @@
 """Exact coefficient scalars: Gaussian rationals and rational multiples of powers of sqrt(pi).
 
 All exact arithmetic in the package bottoms out in ``fractions.Fraction``.
-Real rational values are stored as plain ``Fraction``; a ``GaussianRational``
-is only ever created when the imaginary part is nonzero, so equality and
-serialization have a single canonical form.  Exact polynomials hold
-Fractions only (i is the blade e12 there); a ``GaussianRational`` is what
-they accept and return at their boundary.  It never meets a float: its
-operators return NotImplemented for one, so the mix is a TypeError.
+Real rational values are stored as plain ``Fraction``; the ``GaussianRational``
+constructor refuses a zero imaginary part (a ValueError), so equality and
+serialization have a single canonical form.  ``make_gaussian`` builds either:
+a Fraction when the imaginary part is 0.  Exact polynomials hold Fractions
+only (i is the blade e12 there); a ``GaussianRational`` is what they accept
+and return at their boundary.  It never meets a float: its operators return
+NotImplemented for one, so the mix is a TypeError.
 """
 
 from __future__ import annotations
@@ -40,13 +41,17 @@ def make_gaussian(re, im=0):
 
 
 class GaussianRational(_Immutable):
-    """A complex number a + b*i with rational a, b and b != 0 in canonical form."""
+    """A complex number a + b*i with rational a, b and b != 0; b == 0 is a ValueError."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        object.__setattr__(self, "re", _rational(re, "the real part"))
-        object.__setattr__(self, "im", _rational(im, "the imaginary part"))
+        re, im = _rational(re, "the real part"), _rational(im, "the imaginary part")
+        if im == 0:
+            raise ValueError("a GaussianRational needs a nonzero imaginary part; "
+                             "a real value is a Fraction (make_gaussian)")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def conjugate(self):
         return make_gaussian(self.re, -self.im)
@@ -100,8 +105,6 @@ class GaussianRational(_Immutable):
             return NotImplemented
         c, d = self.re, self.im
         n = c * c + d * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
         a, b = pair
         return make_gaussian((a * c + b * d) / n, (b * c - a * d) / n)
 
@@ -124,10 +127,7 @@ class GaussianRational(_Immutable):
         return (self.re, self.im) == pair
 
     def __hash__(self):
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re or self.im)
+        return hash((self.re, self.im))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

@@ -10,14 +10,16 @@ from fractions import Fraction
 import numpy as np
 
 from gtbasis import (CLIFFORD, FACTORIAL, PLAIN, BasisIndex, DomainBox,
-                     HSeries, MonIndex, MPoly, Multivector, binomial_expand,
+                     HSeries, MonIndex, MPoly, Multivector,
                      embedding_F, embedding_X, enumerate_harm_indices,
                      enumerate_mon_indices, gegenbauer_poly, gf_harm_closed,
                      gf_harm_closed_m3, gf_harm_partial_sum, gf_harm_series,
                      gf_mon_closed, gf_mon_closed_m3, gf_mon_partial_sum,
                      gf_mon_series, gf_value, harm_basis, inner_harm,
-                     inner_mon, iter_multi_indices, mon_basis, power_series,
-                     radius_squared, series_oracle)
+                     inner_mon, iter_multi_indices, mon_basis)
+from gtbasis.gegenbauer import series_oracle
+from gtbasis.hseries import binomial_expand, power_series
+from gtbasis.mvpoly import radius_squared
 from gtbasis.scalars import make_gaussian
 
 NUS_EXACT = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from gtbasis import CLIFFORD, MPoly, Multivector, PiScaled, inner_mon, inner_mon_full
-from gtbasis import monomial_ball_integral, pi_power
+from gtbasis.ballint import monomial_ball_integral, pi_power
 
 
 def gamma_of_half(n: int) -> tuple:

@@ -15,10 +15,10 @@ from test_mpoly_properties import PROPERTY_SETTINGS, polys
 
 from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, MonIndex, MPoly, Multivector, PiScaled,
                      enumerate_harm_indices, enumerate_mon_indices, harm_basis, inner_harm,
-                     inner_mon, inner_mon_full, make_gaussian, mon_basis,
-                     monomial_ball_integral, pi_power)
-from gtbasis.ballint import _classes
+                     inner_mon, inner_mon_full, mon_basis)
+from gtbasis.ballint import _classes, monomial_ball_integral, pi_power
 from gtbasis.clifford import E12, blade_sign
+from gtbasis.scalars import make_gaussian
 
 
 def pairing_reference(p, q) -> dict:

@@ -9,9 +9,10 @@ import pytest
 
 from gtbasis import (CLIFFORD, BasisIndex, MonIndex, MPoly, Multivector,
                      PiScaled, enumerate_harm_indices, enumerate_mon_indices,
-                     gamma_half, harm_basis, inner_harm, inner_mon,
-                     inner_mon_full, make_gaussian, mon_basis,
-                     monomial_ball_integral, pi_power)
+                     harm_basis, inner_harm, inner_mon,
+                     inner_mon_full, mon_basis)
+from gtbasis.ballint import gamma_half, monomial_ball_integral, pi_power
+from gtbasis.scalars import make_gaussian
 
 I = make_gaussian(0, 1)
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gtbasis import Multivector, blade_name, blade_product
+from gtbasis import Multivector, blade_name
+from gtbasis.clifford import blade_product
 
 
 def brute_force_blade_product(a: int, b: int, dim: int):

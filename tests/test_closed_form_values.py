@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import (FACTORIAL, PLAIN, DomainBox, Multivector, gf_harm_closed, gf_mon_closed,
-                     make_gaussian)
+from gtbasis import FACTORIAL, PLAIN, DomainBox, Multivector, gf_harm_closed, gf_mon_closed
+from gtbasis.scalars import make_gaussian
 
 E12 = 0b11
 

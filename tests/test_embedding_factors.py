@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import MPoly, embedding_F, gegenbauer_poly, radius_squared
+from gtbasis import MPoly, embedding_F, gegenbauer_poly
+from gtbasis.mvpoly import radius_squared
 
 
 def _coefficient_expansion(m: int, j: int, k: int) -> MPoly:

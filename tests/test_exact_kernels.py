@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 from test_ball_pairing import assert_pairings_match
 
-from gtbasis import CLIFFORD, GAUSSIAN, MPoly, Multivector, make_gaussian
+from gtbasis import CLIFFORD, GAUSSIAN, MPoly, Multivector
 from gtbasis.ballint import _classes, _index
 from gtbasis.clifford import blade_sign
+from gtbasis.scalars import make_gaussian
 
 RINGS = (GAUSSIAN, CLIFFORD)
 DIMS = range(1, 7)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gtbasis import (FACTORIAL, PLAIN, Multivector, embedding_f_value, embedding_x_value,
                      gf_harm_closed, gf_harm_closed_m3, gf_harm_partial_sum, gf_mon_closed,
-                     gf_mon_closed_m3, gf_mon_partial_sum)
+                     gf_mon_closed_m3, gf_mon_partial_sum, gf_value)
 
 CONTRACT_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True,
                              database=None)
@@ -108,8 +108,51 @@ def test_factor_values_refuse_a_non_finite_point(evaluate, args, where, bad):
     # these raised the overflow error, "overflows the float range", before
     x = [0.1, 0.2, 0.3, 0.2]
     x[where] = bad
-    with pytest.raises(ValueError, match="x must be finite"):
+    with pytest.raises(ValueError, match="^a coordinate of x must be finite$"):
         evaluate(*args, x)
+
+
+_POINT = {"x": [0.1, 0.2, 0.3], "h": [0.1, 0.1]}
+
+
+# each of the nine float entry points names the argument that holds a nan or an inf
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evaluate, what", [
+    (lambda x, h: gf_harm_closed(3, x, h), "x"),
+    (lambda x, h: gf_harm_closed(3, x, h), "h"),
+    (lambda x, h: gf_harm_closed_m3(x, h, unsafe_domain=True), "x"),
+    (lambda x, h: gf_harm_closed_m3(x, h, unsafe_domain=True), "h"),
+    (lambda x, h: gf_mon_closed(3, x, h), "x"),
+    (lambda x, h: gf_mon_closed(3, x, h), "h"),
+    (lambda x, h: gf_mon_closed_m3(x, h), "x"),
+    (lambda x, h: gf_mon_closed_m3(x, h), "h"),
+    (lambda x, h: gf_harm_partial_sum(3, x, h, 2), "x"),
+    (lambda x, h: gf_harm_partial_sum(3, x, h, 2), "h"),
+    (lambda x, h: gf_mon_partial_sum(3, x, h, 2), "x"),
+    (lambda x, h: gf_mon_partial_sum(3, x, h, 2), "h"),
+    (lambda x, h: embedding_f_value(3, 0, 2, x), "x"),
+    (lambda x, h: embedding_x_value(3, 3, 0, 2, x), "x"),
+], ids=[f"{kind}-{what}" for kind in ("harm-closed", "harm-closed-m3", "mon-closed",
+                                      "mon-closed-m3", "harm-partial-sum", "mon-partial-sum")
+        for what in ("x", "h")] + ["f-value-x", "x-value-x"])
+def test_a_non_finite_coordinate_is_named(evaluate, what, bad):
+    point = {key: list(value) for key, value in _POINT.items()}
+    point[what][1] = bad
+    with pytest.raises(ValueError, match=f"^a coordinate of {what} must be finite$"):
+        evaluate(**point)
+
+
+# the coordinates are finite though their sum is not: no refusal, and the value at order 0 is 1
+def test_finite_coordinates_whose_sum_overflows_are_finite():
+    assert gf_harm_partial_sum(3, [0.0, 0.0, 0.0], [1e308, 1e308], 0) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("what", ["t", "h"])
+def test_gf_value_names_a_non_finite_argument(what, bad):
+    args = {"t": 0.1, "h": 0.2, what: bad}
+    with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+        gf_value(1, **args)
 
 
 @pytest.mark.parametrize("evaluate, args", [

@@ -12,10 +12,11 @@ import pytest
 
 from gtbasis import (CLIFFORD, FACTORIAL, GAUSSIAN, PLAIN, BasisIndex, GaussianRational,
                      MonIndex, MPoly, Multivector, enumerate_mon_indices, gf_harm_series,
-                     gf_mon_series, harm_basis, iter_multi_indices, make_gaussian,
+                     gf_mon_series, harm_basis, iter_multi_indices,
                      mon_basis)
 from gtbasis.clifford import E12
 from gtbasis.harmonics import _base2
+from gtbasis.scalars import make_gaussian
 
 I = make_gaussian(0, 1)
 NORMS = (FACTORIAL, PLAIN)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import gegenbauer_poly, gf_value, series_oracle
+from gtbasis import gegenbauer_poly, gf_value
+from gtbasis.gegenbauer import series_oracle
 
 NUS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
 

@@ -11,7 +11,8 @@ from gtbasis import (FACTORIAL, PLAIN, BasisIndex, DomainBox, DomainError,
                      MPoly, SingularityError, embedding_F, embedding_f_value,
                      enumerate_harm_indices, gf_harm_closed, gf_harm_closed_m3,
                      gf_harm_partial_sum, gf_harm_series, harm_basis,
-                     iter_multi_indices, make_gaussian, real_basis)
+                     iter_multi_indices, real_basis)
+from gtbasis.scalars import make_gaussian
 
 I = make_gaussian(0, 1)
 

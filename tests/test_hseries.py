@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from gtbasis import (CLIFFORD, GAUSSIAN, HSeries, MPoly,
-                     Multivector, binomial_expand, embedding_F, exp_series,
-                     harm_basis, BasisIndex, lift_step, make_gaussian,
-                     gf_harm_series, gf_mon_series, power_series, radius_squared)
+                     Multivector, embedding_F,
+                     harm_basis, BasisIndex, lift_step,
+                     gf_harm_series, gf_mon_series)
+from gtbasis.hseries import binomial_expand, exp_series, power_series
+from gtbasis.mvpoly import radius_squared
+from gtbasis.scalars import make_gaussian
 
 I = make_gaussian(0, 1)
 

@@ -11,14 +11,19 @@ from fractions import Fraction
 import pytest
 
 from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, DomainBox, DomainError, GaussianRational,
-                     HSeries, MonIndex, MPoly, Multivector, PiScaled, make_gaussian,
-                     binom_frac, binomial_expand, blade_name, blade_product, embedding_F,
+                     HSeries, MonIndex, MPoly, Multivector, PiScaled,
+                     blade_name, embedding_F,
                      embedding_f_value, embedding_X, embedding_x_value, enumerate_harm_indices,
-                     enumerate_mon_indices, gamma_half, gegenbauer_poly, gf_harm_closed,
+                     enumerate_mon_indices, gegenbauer_poly, gf_harm_closed,
                      gf_harm_closed_m3, gf_harm_partial_sum, gf_harm_series, gf_mon_closed,
                      gf_mon_closed_m3, gf_mon_partial_sum, gf_mon_series, gf_value, inner_harm,
-                     inner_mon, inner_mon_full, iter_multi_indices,
-                     monomial_ball_integral, pi_power, radius_squared, series_oracle)
+                     inner_mon, inner_mon_full, iter_multi_indices)
+from gtbasis.ballint import gamma_half, monomial_ball_integral, pi_power
+from gtbasis.clifford import blade_product
+from gtbasis.gegenbauer import series_oracle
+from gtbasis.hseries import binomial_expand
+from gtbasis.mvpoly import radius_squared
+from gtbasis.scalars import binom_frac, make_gaussian
 from gtbasis.verify import run_verify
 
 NON_FINITE = (math.nan, math.inf, -math.inf)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from gtbasis import (CLIFFORD, FACTORIAL, PLAIN, DomainBox, MonIndex, MPoly,
-                     Multivector, binomial_expand, embedding_X,
+                     Multivector, embedding_X,
                      enumerate_mon_indices, gf_mon_closed, gf_mon_closed_m3,
                      gf_mon_partial_sum, gf_mon_series, HSeries,
-                     iter_multi_indices, mon_basis, radius_squared)
+                     iter_multi_indices, mon_basis)
+from gtbasis.hseries import binomial_expand
+from gtbasis.mvpoly import radius_squared
 
 
 def x(m, j):

@@ -17,8 +17,9 @@ from test_mpoly_properties import PROPERTY_SETTINGS, fractions, polys, same_spac
 
 import gtbasis.mvpoly as mvpoly
 from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, MonIndex, MPoly, harm_basis,
-                     make_gaussian, mon_basis)
+                     mon_basis)
 from gtbasis.clifford import blade_sign, conjugation_sign
+from gtbasis.scalars import make_gaussian
 
 
 def assert_canonical(p: MPoly) -> None:

@@ -5,7 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtbasis import CLIFFORD, GAUSSIAN, MPoly, Multivector, make_gaussian
+from gtbasis import CLIFFORD, GAUSSIAN, MPoly, Multivector
+from gtbasis.scalars import make_gaussian
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                              database=None)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, MPoly, Multivector,
-                     harm_basis, make_gaussian)
+                     harm_basis)
+from gtbasis.scalars import make_gaussian
 
 I = make_gaussian(0, 1)
 

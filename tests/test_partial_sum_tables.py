@@ -23,9 +23,10 @@ import random
 
 import pytest
 
-from gtbasis import (FACTORIAL, PLAIN, DomainBox, Multivector, blade_product, embedding_f_value,
+from gtbasis import (FACTORIAL, PLAIN, DomainBox, Multivector, embedding_f_value,
                      embedding_x_value, gf_harm_closed, gf_harm_partial_sum, gf_mon_closed,
                      gf_mon_closed_m3, gf_mon_partial_sum, iter_multi_indices)
+from gtbasis.clifford import blade_product
 from gtbasis.harmonics import _base2_value, _closed_form, _descend, _f_diagonals
 from gtbasis.verify import GF_TOL
 

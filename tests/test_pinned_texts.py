@@ -15,8 +15,9 @@ from fractions import Fraction
 import pytest
 
 from gtbasis import (CLIFFORD, FACTORIAL, GAUSSIAN, PLAIN, MPoly, Multivector,
-                     enumerate_harm_indices, enumerate_mon_indices, harm_basis, make_gaussian,
+                     enumerate_harm_indices, enumerate_mon_indices, harm_basis,
                      mon_basis)
+from gtbasis.scalars import make_gaussian
 from gtbasis.verify import run_verify
 
 TEXT_PINS = {

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import GaussianRational, PiScaled, binom_frac, make_gaussian
+from gtbasis import GaussianRational, PiScaled
+from gtbasis.scalars import binom_frac, make_gaussian
 
 
 def test_canonical_form_collapses_to_fraction():
@@ -41,8 +42,32 @@ def test_reflected_division_by_gaussian():
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         make_gaussian(1, 1) / Fraction(0)
-    with pytest.raises(ZeroDivisionError):
-        Fraction(1) / GaussianRational(0, 0)
+    with pytest.raises(ValueError, match="nonzero imaginary part"):
+        GaussianRational(0, 0)
+
+
+# GaussianRational(1, 0) was accepted, and an MPoly of the clifford ring refused it as
+# a coefficient that is not rational, though it equals 1
+@pytest.mark.parametrize("re", [0, 3, Fraction(-5, 2)])
+def test_a_zero_imaginary_part_is_refused(re):
+    with pytest.raises(ValueError, match="^a GaussianRational needs a nonzero imaginary part"):
+        GaussianRational(re, 0)
+    with pytest.raises(ValueError, match="^a GaussianRational needs a nonzero imaginary part"):
+        GaussianRational(re, Fraction(0))
+
+
+@pytest.mark.parametrize("compute", [
+    lambda z: z * z.conjugate(),
+    lambda z: z + z.conjugate(),
+    lambda z: z - make_gaussian(0, 2),
+    lambda z: z * make_gaussian(2, -4),
+    lambda z: z / make_gaussian(1, 2),
+    lambda z: Fraction(5) / z * z,
+    lambda z: z ** 4 / make_gaussian(-7, -24),
+], ids=["norm", "twice-re", "sub", "mul", "div", "rdiv", "pow"])
+def test_arithmetic_that_cancels_the_imaginary_part_returns_a_fraction(compute):
+    value = compute(GaussianRational(1, 2))
+    assert type(value) is Fraction
 
 
 def test_integer_powers():

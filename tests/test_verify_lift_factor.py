@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtbasis import CLIFFORD, GAUSSIAN, MPoly, hseries, radius_squared, verify
+from gtbasis import CLIFFORD, GAUSSIAN, MPoly, hseries, verify
+from gtbasis.mvpoly import radius_squared
 
 _lift_factor = hseries._lift_factor
 
