@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import _Immutable, _integer
+from .errors import _at_least, _Immutable, _instance, _integer
 
 SCALAR_BLADE = 0
 
@@ -98,16 +98,12 @@ class Multivector(_Immutable):
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: dict | None = None):
-        # exact ints skip the gates: the float evaluators build one Multivector per call
-        dim = dim if type(dim) is int else _integer(dim, "the dimension")
-        if dim < 0:
-            raise ValueError("dimension must be non-negative")
+        dim = _at_least(dim, "the dimension", 0)
+        terms = {} if terms is None else _instance(terms, dict, "Multivector: terms")
         clean = {}
         exact = None
-        size = 1 << dim
-        for mask, coeff in (terms or {}).items():
-            if type(mask) is not int or not 0 <= mask < size:
-                mask = _check_mask(mask, dim)
+        for mask, coeff in terms.items():
+            mask = _check_mask(mask, dim)
             # float first: the exact test runs Fraction's ABC isinstance hook
             if isinstance(coeff, float):
                 this_exact = False
@@ -193,12 +189,16 @@ class Multivector(_Immutable):
         if self.terms and other.terms and self.is_exact() != other.is_exact():
             raise TypeError("an exact and a float multivector do not mix")
 
+    def _operand(self, other):
+        """other as a Multivector (a scalar s as Multivector.scalar(dim, s)), or None."""
+        if isinstance(other, _SCALARS):
+            return Multivector.scalar(self.dim, other)
+        return other if isinstance(other, Multivector) else None
+
     def __add__(self, other):
-        if not isinstance(other, Multivector):
-            if isinstance(other, _SCALARS):
-                other = Multivector.scalar(self.dim, other)
-            else:
-                return NotImplemented
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         self._require_same(other)
         terms = dict(self.terms)
         for mask, coeff in other.terms.items():
@@ -211,12 +211,8 @@ class Multivector(_Immutable):
         return Multivector(self.dim, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Multivector):
-            if isinstance(other, _SCALARS):
-                other = Multivector.scalar(self.dim, other)
-            else:
-                return NotImplemented
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -255,11 +251,9 @@ class Multivector(_Immutable):
     # -- conversions -------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            if isinstance(other, _SCALARS):
-                other = Multivector.scalar(self.dim, other)
-            else:
-                return NotImplemented
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):

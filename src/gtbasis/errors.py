@@ -1,4 +1,4 @@
-"""Exceptions, error texts, the argument gates (integer, bounded integer, exact rational),
+"""Exceptions, error texts, the argument gates (integer, bounded integer, type, exact rational),
 the finite-float conversion of an input, the float-range boundary, the JSON reader guard
 and the immutable base of the value types, shared across modules."""
 
@@ -32,6 +32,13 @@ def _at_least(value, what: str, low: int) -> int:
     value = _integer(value, what)
     if value < low:
         raise ValueError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
+def _instance(value, kind: type, what: str):
+    """value if it is a kind; anything else is a TypeError that names what ("f: arg")."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
     return value
 
 

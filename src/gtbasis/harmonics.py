@@ -32,12 +32,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress
 from operator import add, mul
 
 from .clifford import E12
 from .errors import (FLOAT_OVERFLOW, DomainError, SingularityError, _at_least, _float_value,
-                     _floats, _integer)
+                     _floats, _instance, _integer)
 from .hseries import HSeries, exp_series, lift_step, power_series
 from .mvpoly import GAUSSIAN, MPoly, radius_squared
 
@@ -265,11 +264,13 @@ def _basis_product(idx, sign: int, ring: str, factor) -> MPoly:
 
 def harm_basis(idx: BasisIndex) -> MPoly:
     """The spherical harmonic labelled by idx; homogeneous of degree |k| and harmonic."""
+    idx = _instance(idx, BasisIndex, "harm_basis: idx")
     return _basis_product(idx, idx.sign, GAUSSIAN, embedding_F)
 
 
 def real_basis(idx: BasisIndex) -> tuple[MPoly, MPoly]:
     """Real and imaginary parts of the sign=+ harmonic (a real orthogonal basis)."""
+    idx = _instance(idx, BasisIndex, "real_basis: idx")
     plus = harm_basis(BasisIndex(idx.k, +1, idx.normalization))
     return plus.real_part(), plus.imag_part()
 
@@ -500,15 +501,14 @@ def _f_diagonals(m: int, order: int, x) -> list:
 
 def _sums(diagonals: list, first: int, hpow: list, column) -> list:
     """[sum of c * column[s - k] * hpow[k] over k = first..s, c = diagonals[s][k - first],
-    for s <= order]: each sum starts from 0.0 and runs in ascending k.  With first = 1
-    (the b terms of _partial_sum) a term with c = 0 is skipped."""
+    for s <= order]: each sum starts from +0.0 and runs in ascending k.  A term with
+    c = 0 changes no bit: a sum that starts at +0.0 is never -0.0, and adding +-0.0
+    keeps any other value.  A non-finite column entry also meets the coefficient
+    F^(0) = 1.0, so it reaches the total, and the refusal, either way."""
     out, hpow = [], hpow[first:]
     for s, coeffs in enumerate(diagonals):
-        values, powers = column[s - first::-1], hpow
-        if first and 0.0 in coeffs:
-            values, powers, coeffs = (compress(v, coeffs) for v in (values, powers, coeffs))
         t = 0.0
-        for c, v, hk in zip(coeffs, values, powers):
+        for c, v, hk in zip(coeffs, column[s - first::-1], hpow):
             t = t + c * v * hk
         out.append(t)
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import _at_least, _Immutable, _integer, _json_reader, _rational
+from .errors import _at_least, _Immutable, _instance, _integer, _json_reader, _rational
 from .mvpoly import CLIFFORD, GAUSSIAN, MPoly, _check_space, radius_squared
 from .scalars import binom_frac
 
@@ -76,17 +76,12 @@ class HSeries(_Immutable):
         acc: dict = {}
         for ka, pa in self.terms.items():
             sa = sum(ka)
-            if sa > order:
-                continue
             for kb, pb in other.terms.items():
                 if sa + sum(kb) > order:
                     continue
                 k = tuple(x + y for x, y in zip(ka, kb))
                 prod = pa * pb
-                if k in acc:
-                    acc[k] = acc[k] + prod
-                else:
-                    acc[k] = prod
+                acc[k] = acc[k] + prod if k in acc else prod
         return HSeries(self.m, order, self.ring, acc)
 
     def __eq__(self, other):
@@ -145,8 +140,6 @@ def _binomial_coeffs(alpha: Fraction, c1: MPoly, c2: MPoly, order: int) -> list[
     coeffs = [MPoly.zero(c1.dim, c1.ring) for _ in range(order + 1)]
     for n, power in enumerate(powers):
         cn = binom_frac(alpha, n)
-        if cn == 0:
-            continue
         for hdeg, poly in power.items():
             coeffs[hdeg] = coeffs[hdeg] + poly.scale(cn)
     return coeffs
@@ -160,6 +153,8 @@ def binomial_expand(alpha, c1: MPoly, c2: MPoly, var: int, order: int) -> HSerie
     int or a Fraction, and anything else is a ValueError.
     """
     alpha = _rational(alpha, "alpha")
+    c1 = _instance(c1, MPoly, "binomial_expand: c1")
+    c2 = _instance(c2, MPoly, "binomial_expand: c2")
     if c1.dim != c2.dim or c1.ring != c2.ring:
         raise ValueError("c1/c2 dimension or ring mismatch")
     m = c1.dim
@@ -175,7 +170,7 @@ def binomial_expand(alpha, c1: MPoly, c2: MPoly, var: int, order: int) -> HSerie
 
 def exp_series(p: MPoly, order: int) -> HSeries:
     """exp(p*h_2) truncated: coefficient of h_2^k is p^k / k!."""
-    order = _integer(order, "order")
+    p, order = _instance(p, MPoly, "exp_series: p"), _integer(order, "order")
     acc = MPoly.constant(p.dim, 1, p.ring)
     terms = {}
     for k in range(order + 1):
@@ -187,7 +182,7 @@ def exp_series(p: MPoly, order: int) -> HSeries:
 
 def power_series(p: MPoly, order: int) -> HSeries:
     """Geometric-style base sum p^k h_2^k (the plain normalization base)."""
-    order = _integer(order, "order")
+    p, order = _instance(p, MPoly, "power_series: p"), _integer(order, "order")
     acc = MPoly.constant(p.dim, 1, p.ring)
     terms = {}
     for k in range(order + 1):
@@ -229,6 +224,7 @@ def lift_step(series: HSeries) -> HSeries:
     by the h_m expansion _lift_factor(m, s, order - s, ring), made once per
     s; the series' ring picks the harmonic or the monogenic factor.
     """
+    series = _instance(series, HSeries, "lift_step: series")
     m, order, ring = series.m + 1, series.order, series.ring
     factors: dict = {}
     acc: dict = {}

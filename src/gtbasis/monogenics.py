@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import mul
 
 from .clifford import E12, Multivector, blade_sign
-from .errors import _float_value, _integer
+from .errors import _float_value, _instance, _integer
 from .harmonics import (FACTORIAL, _base2, _base2_value, _basis_product,
                         _check_norm, _check_point, _closed_form, _descend, _dimension,
                         _factor_label, _gf_series, _Index, _partial_sum, embedding_F,
@@ -68,6 +68,7 @@ def embedding_X(m: int, j: int, k: int) -> MPoly:
 
 def mon_basis(idx: MonIndex) -> MPoly:
     """The spherical monogenic labelled by idx, with the factor order of the definition."""
+    idx = _instance(idx, MonIndex, "mon_basis: idx")
     return _basis_product(idx, -1, CLIFFORD, embedding_X)
 
 

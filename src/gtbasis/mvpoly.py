@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add
 
 from .clifford import E12, Multivector, _sum_text, blade_sign, conjugation_sign
@@ -360,7 +360,7 @@ class MPoly(_Immutable):
         return out
 
     def __eq__(self, other):
-        if isinstance(other, _EXACT):
+        if isinstance(other, (*_EXACT, Multivector)):
             other = MPoly.constant(self.dim, other, self.ring)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -425,22 +425,11 @@ class MPoly(_Immutable):
             coords = [Fraction(c) for c in point]
         else:
             coords = [float(c) for c in point]
-        pows = [{0: coords[i] ** 0} for i in range(self.dim)]
-
-        def power(i, e):
-            cache = pows[i]
-            if e not in cache:
-                cache[e] = coords[i] ** e
-            return cache[e]
-
         den = self.den
         zero = Fraction(0) if exact else 0.0
         acc: dict = {}
         for (exps, blade), n in self.num.items():
-            mono = Fraction(1) if exact else 1.0
-            for i, e in enumerate(exps):
-                if e:
-                    mono *= power(i, e)
+            mono = prod(c ** e for c, e in zip(coords, exps) if e)
             # n / den is the correctly rounded float of the coefficient
             acc[blade] = acc.get(blade, zero) + (n if exact else n / den) * mono
         if exact:

@@ -7,7 +7,8 @@ serialization have a single canonical form.  ``make_gaussian`` builds either:
 a Fraction when the imaginary part is 0.  Exact polynomials hold Fractions
 only (i is the blade e12 there); a ``GaussianRational`` is what they accept
 and return at their boundary.  It never meets a float: its operators return
-NotImplemented for one, so the mix is a TypeError.
+NotImplemented for one, so the mix is a TypeError.  Its text is 'i', '-2i' or
+'1/2+3/4i'; a ``PiScaled`` prints its q with str, a Fraction as '3/2'.
 """
 
 from __future__ import annotations
@@ -136,27 +137,10 @@ class GaussianRational(_Immutable):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        return format_gaussian(self)
-
-
-def format_gaussian(value) -> str:
-    """Render an exact scalar as '3/2', 'i', '-2i' or '1/2+3/4i'."""
-    pair = _as_pair(value)
-    if pair is None:
-        return str(value)
-    re, im = pair
-    if im == 0:
-        return str(re)
-    if im == 1:
-        imtxt = "i"
-    elif im == -1:
-        imtxt = "-i"
-    else:
-        imtxt = f"{im}i"
-    if re == 0:
-        return imtxt
-    sign = "+" if im > 0 else ""
-    return f"{re}{sign}{imtxt}"
+        im = {1: "i", -1: "-i"}.get(self.im, f"{self.im}i")
+        if self.re == 0:
+            return im
+        return f"{self.re}{'+' if self.im > 0 else ''}{im}"
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: n = 2.0 is refused on a warm cache too
@@ -231,8 +215,6 @@ class PiScaled(_Immutable):
     def __eq__(self, other):
         if not isinstance(other, PiScaled):
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
         return self.q == other.q and self.s == other.s
 
     def __hash__(self):
@@ -253,15 +235,15 @@ class PiScaled(_Immutable):
 
     def __repr__(self):
         if self.s == 0:
-            return f"PiScaled({format_gaussian(self.q)})"
-        return f"PiScaled({format_gaussian(self.q)}*pi^({self.s}/2))"
+            return f"PiScaled({self.q})"
+        return f"PiScaled({self.q}*pi^({self.s}/2))"
 
     def __str__(self):
         if self.s == 0:
-            return format_gaussian(self.q)
+            return str(self.q)
         power = str(Fraction(self.s, 2))
         suffix = "pi" if power == "1" else f"pi^({power})"
-        return f"{format_gaussian(self.q)}*{suffix}"
+        return f"{self.q}*{suffix}"
 
     def to_json(self) -> dict:
         pair = _as_pair(self.q)

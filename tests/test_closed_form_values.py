@@ -109,6 +109,7 @@ def test_multivector_rejects_non_numbers(bad):
     {0: Fraction(1, 2), 1: 0.5},
     {0: 0.5, 1: 1},
     {0: 2, 1: 0.0},
+    {0: 0.0, 1: Fraction(1)},
 ])
 def test_multivector_rejects_mixed_exact_and_float(terms):
     with pytest.raises(ValueError, match="mixed"):

@@ -216,3 +216,26 @@ def test_json_round_trip_keeps_ring(ring):
 def test_json_unknown_ring_rejected():
     with pytest.raises(ValueError, match="unknown ring"):
         HSeries.from_json({"m": 3, "order": 2, "terms": [], "ring": "quaternion"})
+
+
+# (1 + u)^2: the binomial coefficients of alpha = 2 are 1, 2, 1 and then zeros, which
+# the expansion adds as zero polynomials
+@pytest.mark.parametrize("ring", [GAUSSIAN, CLIFFORD])
+def test_binomial_with_alpha_two_is_the_square(ring):
+    c1, c2 = x(3, 3, ring).scale(-2), radius_squared(3, ring=ring)
+    s = binomial_expand(2, c1, c2, 3, 6)
+    square = [const(3, 1, ring), c1.scale(2), c1 * c1 + c2.scale(2), (c1 * c2).scale(2),
+              c2 * c2, MPoly.zero(3, ring), MPoly.zero(3, ring)]
+    assert [s.coefficient((0, j)) for j in range(7)] == square
+
+
+# the product has the smaller order: a term of the longer series beyond it has no partner
+@pytest.mark.parametrize("ring", [GAUSSIAN, CLIFFORD])
+def test_cauchy_product_of_different_orders_has_the_smaller_order(ring):
+    long, short = ((gf_harm_series(3, 5), gf_harm_series(3, 2, -1)) if ring == GAUSSIAN
+                   else (gf_mon_series(3, 5), gf_mon_series(3, 2, "plain")))
+    low = HSeries(3, 2, ring, {k: p for k, p in long.terms.items() if sum(k) <= 2})
+    assert any(sum(k) > 2 for k in long.terms)
+    assert long * short == low * short
+    assert short * long == short * low
+    assert (long * short).order == (short * long).order == 2

@@ -16,12 +16,13 @@ from gtbasis import (CLIFFORD, GAUSSIAN, BasisIndex, DomainBox, DomainError, Gau
                      embedding_f_value, embedding_X, embedding_x_value, enumerate_harm_indices,
                      enumerate_mon_indices, gegenbauer_poly, gf_harm_closed,
                      gf_harm_closed_m3, gf_harm_partial_sum, gf_harm_series, gf_mon_closed,
-                     gf_mon_closed_m3, gf_mon_partial_sum, gf_mon_series, gf_value, inner_harm,
-                     inner_mon, inner_mon_full, iter_multi_indices)
+                     gf_mon_closed_m3, gf_mon_partial_sum, gf_mon_series, gf_value, harm_basis,
+                     inner_harm, inner_mon, inner_mon_full, iter_multi_indices, lift_step,
+                     mon_basis, real_basis)
 from gtbasis.ballint import gamma_half, monomial_ball_integral, pi_power
 from gtbasis.clifford import blade_product
 from gtbasis.gegenbauer import series_oracle
-from gtbasis.hseries import binomial_expand
+from gtbasis.hseries import binomial_expand, exp_series, power_series
 from gtbasis.mvpoly import radius_squared
 from gtbasis.scalars import binom_frac, make_gaussian
 from gtbasis.verify import run_verify
@@ -529,3 +530,23 @@ def test_exact_entry_points_refuse_a_float(make, what):
 def test_gf_value_takes_a_float_nu_at_its_binary_value():
     assert gf_value(0.5, 0.3, 0.4) == gf_value(Fraction(1, 2), 0.3, 0.4)
     assert gf_value(0.1, 0.3, 0.4) == gf_value(Fraction(0.1), 0.3, 0.4)
+
+
+# a wrong type raised a bare AttributeError from inside each of these
+@pytest.mark.parametrize("call, args, where", [
+    (harm_basis, ((1, 2),), "harm_basis: idx"),
+    (harm_basis, (MonIndex((1, 2)),), "harm_basis: idx"),
+    (mon_basis, ("x",), "mon_basis: idx"),
+    (mon_basis, (BasisIndex((1, 2)),), "mon_basis: idx"),
+    (real_basis, (None,), "real_basis: idx"),
+    (exp_series, (3, 2), "exp_series: p"),
+    (power_series, ([1], 2), "power_series: p"),
+    (binomial_expand, (1, 2, 3, 2, 2), "binomial_expand: c1"),
+    (binomial_expand, (1, _C1, None, 3, 2), "binomial_expand: c2"),
+    (lift_step, (None,), "lift_step: series"),
+    (Multivector, (2, [(0, 1)]), "Multivector: terms"),
+], ids=["harm-tuple", "harm-mon-index", "mon-str", "mon-basis-index", "real-none",
+        "exp-int", "power-list", "binomial-c1", "binomial-c2", "lift-none", "multivector-list"])
+def test_a_wrong_type_is_a_type_error_that_names_the_function_and_argument(call, args, where):
+    with pytest.raises(TypeError, match=f"^{where} must be of type "):
+        call(*args)

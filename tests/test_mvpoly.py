@@ -167,3 +167,50 @@ def test_division_by_zero_raises(zero):
 def test_division_by_anything_else_is_a_type_error(divisor):
     with pytest.raises(TypeError):
         x(3, 1) / divisor
+
+
+# p == mv was False while (p - mv).is_zero() was True: __eq__ lifted exact scalars only
+def test_equality_lifts_a_multivector_as_the_arithmetic_does():
+    mv = Multivector(2, {0b11: 2})
+    p = MPoly.constant(2, mv, CLIFFORD)
+    assert (p - mv).is_zero()
+    assert p == mv and mv == p
+    assert p != Multivector(2, {0b11: 3})
+    assert x(2, 1, CLIFFORD) != mv
+    # a Multivector is no coefficient of a gaussian polynomial, as in p - mv
+    with pytest.raises(TypeError, match="clifford ring"):
+        MPoly.constant(2, 2) == mv
+
+
+# the sum starts at Fraction(0), so a constant term, whose product of powers is the
+# int 1, still gives a Fraction
+@pytest.mark.parametrize("ring", [GAUSSIAN, CLIFFORD])
+def test_exact_eval_of_a_constant_at_an_int_point_is_exact(ring):
+    value = MPoly.constant(2, Fraction(1, 3), ring).eval((1, 2))
+    if ring == GAUSSIAN:
+        assert type(value) is Fraction and value == Fraction(1, 3)
+    else:
+        assert value.is_exact() and value == Multivector(2, {0: Fraction(1, 3)})
+
+
+def _term_by_term(p, point):
+    """{blade: sum of coeff * prod of x_i ** e_i}, the factors multiplied in ascending i."""
+    acc = {}
+    for (exps, blade), coeff in p.terms.items():
+        mono = 1.0
+        for v, e in zip(point, exps):
+            if e:
+                mono *= v ** e
+        acc[blade] = acc.get(blade, 0.0) + float(coeff) * mono
+    return acc
+
+
+def test_float_eval_is_the_term_by_term_product_bit_for_bit():
+    rng = np.random.default_rng(35)
+    h = harm_basis(BasisIndex((2, 3)))
+    for _ in range(20):
+        point = tuple(float(v) for v in rng.uniform(-2.0, 2.0, 3))
+        p = rnd_clifford_poly(rng, 3, 5)
+        assert repr(p.eval(point)) == repr(Multivector(3, _term_by_term(p, point)))
+        blades = _term_by_term(h, point)
+        assert repr(h.eval(point)) == repr(complex(blades[0], blades[0b11]))

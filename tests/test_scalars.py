@@ -110,3 +110,32 @@ def test_pi_scaled_zero_is_canonical():
 def test_pi_scaled_rejects_inexact_coefficients():
     with pytest.raises(TypeError):
         PiScaled(0.5, 1)
+
+
+# zeros are canonical (q = 0, s = 0), so equality needs no case of its own for them
+def test_pi_scaled_zeros_of_any_pi_power_are_equal():
+    zeros = [PiScaled(0, 3), PiScaled(Fraction(0), -2), PiScaled(1, 3) - PiScaled(1, 3),
+             PiScaled.zero(), PiScaled(2, 5) * 0]
+    for a in zeros:
+        for b in zeros:
+            assert a == b and hash(a) == hash(b)
+    assert PiScaled(0, 3) != PiScaled(1, 0)
+
+
+@pytest.mark.parametrize("q, s, text, rep", [
+    (Fraction(3, 2), 0, "3/2", "PiScaled(3/2)"),
+    (Fraction(-4, 15), 2, "-4/15*pi", "PiScaled(-4/15*pi^(2/2))"),
+    (Fraction(1, 3), 3, "1/3*pi^(3/2)", "PiScaled(1/3*pi^(3/2))"),
+    (0, 5, "0", "PiScaled(0)"),
+    (make_gaussian(0, 1), 0, "i", "PiScaled(i)"),
+    (make_gaussian(0, -2), 1, "-2i*pi^(1/2)", "PiScaled(-2i*pi^(1/2))"),
+    (make_gaussian(Fraction(1, 2), Fraction(3, 4)), -1, "1/2+3/4i*pi^(-1/2)",
+     "PiScaled(1/2+3/4i*pi^(-1/2))"),
+    (make_gaussian(1, -1), 4, "1-i*pi^(2)", "PiScaled(1-i*pi^(4/2))"),
+    (make_gaussian(Fraction(-1, 3), 1), 0, "-1/3+i", "PiScaled(-1/3+i)"),
+])
+def test_pi_scaled_text_of_a_fraction_and_of_a_gaussian(q, s, text, rep):
+    value = PiScaled(q, s)
+    assert str(value) == text
+    assert repr(value) == rep
+
